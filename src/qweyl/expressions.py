@@ -9,8 +9,6 @@ which substitution operators act before anything is reduced.
 from . import scalars
 from .scalars import QScalar
 
-_INVERSE_NAMES = {"m": "mi", "mi": "m", "K": "Ki", "Ki": "K"}
-
 
 class FreeExpr:
     __slots__ = ("terms",)
@@ -136,10 +134,6 @@ class FreeExpr:
             out = out * self
         return out
 
-    @property
-    def is_scalar(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
     def scalar_value(self):
         if not self.terms:
             return scalars.ZERO
@@ -167,17 +161,3 @@ class FreeExpr:
 def qcomm(x, y, e):
     """q-commutator [x, y]_e = x*y - q^e * y*x."""
     return x * y - (y * x).scale(scalars.qpow(e))
-
-
-def invert_unit(expr):
-    """Inverse of a single-term expression whose letters are all invertible."""
-    if len(expr.terms) != 1:
-        raise ValueError("not an invertible monomial expression")
-    ((word, coeff),) = expr.terms.items()
-    inv_word = []
-    for name, idx in reversed(word):
-        flipped = _INVERSE_NAMES.get(name)
-        if flipped is None:
-            raise ValueError("letter %s%d is not invertible" % (name, idx))
-        inv_word.append((flipped, idx))
-    return FreeExpr({tuple(inv_word): coeff.inv()})

@@ -99,7 +99,8 @@ def psi_op(v):
         exp = -1
         if i == v.rank + 1:
             exp += cartan(i, rho) - (2 if rho == i else 0)
-        assert exp == -k, "closed form disagrees with the delta expression"
+        if exp != -k:
+            raise ArithmeticError("closed form disagrees with the delta expression")
         sx = scalars.from_int(1 if i % 2 == 1 else -1)
         images[("x", i)] = WeylElement.generator(v, "x", i).scale(sx)
         images[("d", i)] = WeylElement.generator(v, "d", i).scale(-sx)

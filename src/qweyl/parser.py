@@ -23,6 +23,10 @@ CONTEXTS = ("weyl", "iqg", "poly")
 
 _GEN_NAMES = {"weyl": "dxm", "iqg": "BK", "poly": "X"}
 
+# Largest |k| accepted in '^k'.  A power is expanded eagerly (q^k is a dense
+# tuple of k + 1 coefficients), so unbounded input could exhaust memory.
+MAX_EXPONENT = 1000
+
 
 class ParseError(ValueError):
     """Syntax or validation failure, carrying the offending position."""
@@ -288,6 +292,9 @@ class _Parser:
         if self.peek()[0] in ("+", "-"):
             sign = 1 if self.take()[0] == "+" else -1
         tok = self.take("INT")
+        digits = tok[1].lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ParseError("exponent exceeds the limit of %d" % MAX_EXPONENT, tok[2])
         return sign * int(tok[1])
 
 

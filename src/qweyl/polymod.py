@@ -261,12 +261,14 @@ def _tcal_point(v, i, e, kind, a):
     if v.kind == "jmath" and i == r:
         aa, bb = a[r - 1], a[r]
         num = aa * aa + 3 * aa - 2 * bb + 4 * aa * bb
-        assert num % 2 == 0, "diagonal exponent must be an integer"
+        if num % 2:
+            raise ArithmeticError("diagonal exponent must be an integer")
         return 1, e * (num // 2), a
     if v.kind == "imath" and i == r + 1:
         aa = a[r]
         num = aa * aa - aa
-        assert num % 2 == 0, "diagonal exponent must be an integer"
+        if num % 2:
+            raise ArithmeticError("diagonal exponent must be an integer")
         return 1, e * (num // 2), a
     p = i - 1
     aa, bb = a[p], a[p + 1]

@@ -65,7 +65,8 @@ def skipped_check(id, description):
 
 def make_report(suite, variant, checks, e=None):
     ids = [c.id for c in checks]
-    assert len(ids) == len(set(ids)), "duplicate check ids"
+    if len(ids) != len(set(ids)):
+        raise ValueError("duplicate check ids")
     checks = sorted(checks, key=lambda c: c.id)
     summary = {
         "passed": sum(1 for c in checks if c.status == PASS),

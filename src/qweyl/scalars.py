@@ -8,6 +8,7 @@ of the fraction needs them, so Laurent expressions stay exact.
 """
 
 import math
+from itertools import accumulate
 
 P_ZERO = ()
 P_ONE = (1,)
@@ -31,10 +32,6 @@ def p_add(a, b):
 
 def p_neg(a):
     return tuple(-c for c in a)
-
-
-def p_sub(a, b):
-    return p_add(a, p_neg(b))
 
 
 def p_mul(a, b):
@@ -140,13 +137,139 @@ def p_div_exact(a, b):
     for k in range(len(a) - len(b), -1, -1):
         c = r[len(b) - 1 + k]
         qc = c // lb
-        assert qc * lb == c, "inexact polynomial division"
+        if qc * lb != c:
+            raise ArithmeticError("inexact polynomial division")
         out[k] = qc
         if qc:
             for i, bi in enumerate(b):
                 r[k + i] -= qc * bi
-    assert not any(r), "inexact polynomial division"
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
     return p_trim(out)
+
+
+# Denominator shapes.  The relations only ever divide by q^k and q - q^-1,
+# so almost every denominator is c*q^j*(q-1)^a*(q+1)^b, stored as the shape
+# (c, j, a, b).  Against such a denominator the gcd needs no polynomial
+# remainders: integer content, q-valuation, and divisibility by q -+ 1 read
+# off n(1) and n(-1).  Both tables are bounded and start over when full.
+
+_SHAPE_TABLE_MAX = 2048
+_shape_of = {}  # denominator tuple -> shape, or None when it has none
+_shape_poly = {}  # shape -> denominator tuple
+_UNSEEN = object()
+
+
+def _remember(table, key, value):
+    if len(table) >= _SHAPE_TABLE_MAX:
+        table.clear()
+    table[key] = value
+
+
+def _div_q_minus_1(n):
+    # n / (q - 1), given n(1) = 0
+    return tuple(accumulate(n[:0:-1]))[::-1]
+
+
+def _div_q_plus_1(n):
+    # n / (q + 1), given n(-1) = 0
+    out = []
+    acc = 0
+    for c in n[:0:-1]:
+        acc = c - acc
+        out.append(acc)
+    return tuple(out[::-1])
+
+
+def _at_minus_1(n):
+    return sum(n[::2]) - sum(n[1::2])
+
+
+def _find_shape(d):
+    j = p_val(d)
+    p = d[j:]
+    c = p_content(p)
+    if p[-1] < 0:
+        c = -c
+    if c != 1:
+        p = tuple(x // c for x in p)
+    a = 0
+    while len(p) > 1 and not sum(p):
+        p = _div_q_minus_1(p)
+        a += 1
+    b = 0
+    while len(p) > 1 and not _at_minus_1(p):
+        p = _div_q_plus_1(p)
+        b += 1
+    return (c, j, a, b) if p == P_ONE else None
+
+
+def _shape(d):
+    """(c, j, a, b) with d = c*q^j*(q-1)^a*(q+1)^b, or None."""
+    s = _shape_of.get(d, _UNSEEN)
+    if s is _UNSEEN:
+        s = _find_shape(d)
+        _remember(_shape_of, d, s)
+    return s
+
+
+def _from_shape(s):
+    """The polynomial of a shape; registers its shape for _shape."""
+    d = _shape_poly.get(s)
+    if d is None:
+        c, j, a, b = s
+        d = P_ONE
+        for _ in range(a):
+            d = p_mul(d, (-1, 1))
+        for _ in range(b):
+            d = p_mul(d, (1, 1))
+        d = p_shift(tuple(c * x for x in d), j)
+        _remember(_shape_poly, s, d)
+        _remember(_shape_of, d, s)
+    return d
+
+
+def _cancel(n, d):
+    """(n/g, d/g) for g = p_gcd(n, d), n nonzero."""
+    s = _shape(d)
+    if s is None:
+        g = p_gcd(n, d)
+        if g == P_ONE:
+            return n, d
+        return p_div_exact(n, g), p_div_exact(d, g)
+    c, j, a, b = s
+    s0 = s
+    g = math.gcd(c, *n)
+    if g != 1:
+        n = tuple(x // g for x in n)
+        c //= g
+    if j and not n[0]:
+        v = min(p_val(n), j)
+        n = n[v:]
+        j -= v
+    k = 0
+    while k < a and not sum(n):
+        n = _div_q_minus_1(n)
+        k += 1
+    a -= k
+    k = 0
+    while k < b and not _at_minus_1(n):
+        n = _div_q_plus_1(n)
+        k += 1
+    b -= k
+    s = (c, j, a, b)
+    return n, (d if s == s0 else _from_shape(s))
+
+
+def _den_mul(d1, d2):
+    """d1*d2, by adding shapes when both denominators have one."""
+    s1 = _shape(d1)
+    s2 = _shape(d2)
+    if s1 is None or s2 is None:
+        return p_mul(d1, d2)
+    return _from_shape(
+        (s1[0] * s2[0], s1[1] + s2[1], s1[2] + s2[2], s1[3] + s2[3])
+    )
 
 
 def p_lcm(a, b):
@@ -154,6 +277,11 @@ def p_lcm(a, b):
         return _pos(b)
     if b == P_ONE:
         return _pos(a)
+    sa = _shape(a)
+    sb = _shape(b)
+    if sa is not None and sb is not None:
+        c = math.lcm(sa[0], sb[0])
+        return _from_shape((c,) + tuple(map(max, sa[1:], sb[1:])))
     g = p_gcd(a, b)
     return _pos(p_mul(a, p_div_exact(b, g)))
 
@@ -197,14 +325,7 @@ class QScalar:
             self.num = P_ZERO
             self.den = P_ONE
             return
-        v = min(p_val(num), p_val(den))
-        if v:
-            num = num[v:]
-            den = den[v:]
-        g = p_gcd(num, den)
-        if g != P_ONE:
-            num = p_div_exact(num, g)
-            den = p_div_exact(den, g)
+        num, den = _cancel(num, den)
         if den[-1] < 0:
             num = p_neg(num)
             den = p_neg(den)
@@ -255,10 +376,7 @@ class QScalar:
             num = p_add(n1, n2)
             if not num:
                 return ZERO
-            g = p_gcd(num, d1)
-            if g == P_ONE:
-                return QScalar._raw(num, d1)
-            return QScalar._raw(p_div_exact(num, g), p_div_exact(d1, g))
+            return QScalar._raw(*_cancel(num, d1))
         return QScalar(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
 
     __radd__ = __add__
@@ -289,15 +407,9 @@ class QScalar:
             return self
         if d1 == P_ONE and d2 == P_ONE:
             return QScalar._raw(p_mul(n1, n2), P_ONE)
-        g1 = p_gcd(n1, d2)
-        if g1 != P_ONE:
-            n1 = p_div_exact(n1, g1)
-            d2 = p_div_exact(d2, g1)
-        g2 = p_gcd(n2, d1)
-        if g2 != P_ONE:
-            n2 = p_div_exact(n2, g2)
-            d1 = p_div_exact(d1, g2)
-        return QScalar._raw(p_mul(n1, n2), p_mul(d1, d2))
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return QScalar._raw(p_mul(n1, n2), _den_mul(d1, d2))
 
     __rmul__ = __mul__
 

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from qweyl import operators
+from qweyl import operators, scalars
 from qweyl.cli import main
 from qweyl.weyl import EndoSpec
 
@@ -133,6 +134,19 @@ def test_exit_code_2_paths(capsys):
     assert rc == 2
     rc, _, err = run(capsys, ["normalize", "x1", "--variant", "other", "--rank", "2"])
     assert rc == 2
+
+
+def test_huge_exponent_is_rejected(capsys):
+    cached = dict(scalars._qpow_cache)
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, ["normalize", "q^99999999", "--variant", "jmath", "--rank", "1"])
+    assert rc == 2 and "exponent exceeds the limit of 1000" in err
+    rc, _, err = run(capsys, ["normalize", "x1^-99999999", "--variant", "jmath", "--rank", "1"])
+    assert rc == 2 and "exponent exceeds" in err
+    assert time.perf_counter() - t0 < 5
+    assert scalars._qpow_cache == cached
+    rc, out, _ = run(capsys, ["normalize", "q^1000 q^-1000", "--variant", "jmath", "--rank", "1"])
+    assert rc == 0 and out == "1\n"
 
 
 def test_mutation_fails_verify(capsys, monkeypatch):

@@ -1,14 +1,27 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import qweyl
 from qweyl.scalars import (
     ONE,
     ZERO,
     QScalar,
+    _cancel,
+    _from_shape,
+    _shape,
     from_frac,
     from_int,
     laurent_parts,
+    p_add,
+    p_div_exact,
+    p_gcd,
+    p_lcm,
+    p_mul,
+    p_neg,
     qdoublefact,
     qfact,
     qint,
@@ -214,3 +227,153 @@ def test_laurent_parts():
     assert t == -2 and nt == (1, 0, 1, 0, 1) and dt == (1,)
     t, nt, dt = laurent_parts(ONE / (q - qi))
     assert t == 1 and nt == (1,) and dt == (-1, 0, 1)
+
+
+def test_inexact_division_raises_under_python_O():
+    # (q^2 + 1)/(q + 1) is not exact; without a real check it returns q - 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qweyl.__file__)))
+    code = (
+        "from qweyl.scalars import p_div_exact\n"
+        "try:\n"
+        "    print(p_div_exact((1, 0, 1), (1, 1)))\n"
+        "except ArithmeticError as err:\n"
+        "    print('raised:', err)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out == "raised: inexact polynomial division\n"
+
+
+Q_MINUS_1 = (-1, 1)
+Q_PLUS_1 = (1, 1)
+
+
+def _times(p, factor, k):
+    for _ in range(k):
+        p = p_mul(p, factor)
+    return p
+
+
+def _shaped(c, j, a, b):
+    p = _times(_times((c,), Q_MINUS_1, a), Q_PLUS_1, b)
+    return (0,) * j + p
+
+
+def test_shape_examples():
+    assert _shape((1, 1)) == (1, 0, 0, 1)
+    assert _shape((-1, 1)) == (1, 0, 1, 0)
+    for k in range(1, 7):
+        assert _shape(_times((1,), (-1, 0, 1), k)) == (1, 0, k, k)
+    assert _shape(_shaped(2, 3, 2, 2)) == (2, 3, 2, 2)
+    assert _shape((0, 0, 0, 2, 0, -4, 0, 2)) == (2, 3, 2, 2)  # 2q^3(q^2-1)^2
+    assert _shape((1,)) == (1, 0, 0, 0)
+    assert _shape((0, 0, -3)) == (-3, 2, 0, 0)
+    assert _shape((1, 0, 1)) is None
+    assert _shape((1, 1, 1)) is None
+    assert _shape((1, 2)) is None
+    assert _shape(_times((1, 0, 1), Q_MINUS_1, 2)) is None
+
+
+def test_from_shape_round_trip():
+    for s in ((1, 0, 0, 0), (3, 2, 1, 0), (-2, 0, 4, 6), (1, 5, 6, 6)):
+        assert _from_shape(s) == _shaped(*s)
+        assert _shape(_from_shape(s)) == s
+
+
+def _rand_num(rng):
+    n = rng.randint(1, 6)
+    p = tuple(rng.randint(-9, 9) for _ in range(n - 1)) + (rng.choice((1, -1, 2, -5)),)
+    kind = rng.randrange(5)
+    if kind == 1:
+        p = (0,) * rng.randint(1, 5) + p
+    elif kind == 2:
+        p = _times(_times(p, Q_MINUS_1, rng.randint(0, 7)), Q_PLUS_1, rng.randint(0, 7))
+    elif kind == 3:
+        p = tuple(x * rng.choice((2, 3, 6, 12)) for x in p)
+    elif kind == 4:
+        p = (0,) * rng.randint(0, 3) + _times(p, (-2, 0, 2), rng.randint(1, 4))
+    return p
+
+
+def _rand_shaped_den(rng):
+    c = rng.choice((1, 1, 1, 2, 3, 4, 6, 9, -1, -6))
+    return _shaped(c, rng.randint(0, 5), rng.randint(0, 6), rng.randint(0, 6))
+
+
+UNSHAPED = ((1, 0, 1), (1, 1, 1), (1, 2))
+
+
+def _rand_den(rng):
+    d = _rand_shaped_den(rng)
+    if rng.random() < 0.3:
+        d = p_mul(d, rng.choice(UNSHAPED))
+    return d
+
+
+def _by_gcd(n, d):
+    g = p_gcd(n, d)
+    return p_div_exact(n, g), p_div_exact(d, g)
+
+
+def test_cancel_matches_gcd():
+    rng = random.Random(20261017)
+    for _ in range(600):
+        n = _rand_num(rng)
+        d = _rand_den(rng)
+        assert _cancel(n, d) == _by_gcd(n, d), (n, d)
+    for d in UNSHAPED:
+        for n in (d, p_mul(d, (3, 0, 1)), (5,), p_mul(d, (0, -1, 1))):
+            assert _cancel(n, d) == _by_gcd(n, d), (n, d)
+
+
+def _reference(n, d):
+    # canonical form through the general gcd alone
+    if not n:
+        return (), (1,)
+    n, d = _by_gcd(n, d)
+    if d[-1] < 0:
+        n, d = p_neg(n), p_neg(d)
+    return n, d
+
+
+def _rand_shaped_scalar(rng):
+    n, d = _reference(_rand_num(rng), _rand_den(rng))
+    return QScalar._raw(n, d)
+
+
+def test_products_and_sums_match_general_gcd():
+    rng = random.Random(1017)
+    for _ in range(400):
+        a = _rand_shaped_scalar(rng)
+        b = _rand_shaped_scalar(rng)
+        prod = a * b
+        want = _reference(p_mul(a.num, b.num), p_mul(a.den, b.den))
+        assert (prod.num, prod.den) == want
+        old = QScalar(p_mul(a.num, b.num), p_mul(a.den, b.den))
+        assert (prod.num, prod.den) == (old.num, old.den)
+        total = a + b
+        want = _reference(p_add(p_mul(a.num, b.den), p_mul(b.num, a.den)), p_mul(a.den, b.den))
+        assert (total.num, total.den) == want
+        b = QScalar(b.num, a.den)
+        if b.den == a.den:
+            same = a + b
+            assert (same.num, same.den) == _reference(p_add(a.num, b.num), a.den)
+
+
+def test_lcm_of_shapes_matches_gcd_formula():
+    rng = random.Random(77)
+    for _ in range(200):
+        a = _rand_shaped_den(rng)
+        b = _rand_shaped_den(rng)
+        if a[-1] < 0:
+            a = p_neg(a)
+        if b[-1] < 0:
+            b = p_neg(b)
+        want = p_mul(a, p_div_exact(b, p_gcd(a, b)))
+        assert p_lcm(a, b) == want
