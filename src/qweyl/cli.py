@@ -27,6 +27,13 @@ SUITES = (
 
 APPLY_OPS = ("T", "tau", "omega", "psi", "Omega", "Psi", "phi")
 
+# Input bounds.  Every element carries one entry per oscillator index, so an
+# unbounded rank could exhaust memory before any work starts; the module
+# suites walk all (degree + 1)^(rank + 1) points of the exponent grid.
+MAX_RANK = 64
+MODULE_SUITES = ("module-homomorphism", "tcal", "iu-module")
+MAX_GRID_POINTS = 10**6
+
 
 def _build_argparser():
     ap = argparse.ArgumentParser(
@@ -102,6 +109,16 @@ def _run_verify(args, v):
     if args.degree < 1:
         print("degree must be at least 1", file=sys.stderr)
         return 2
+    side, dim = args.degree + 1, v.rank + 1
+    if set(names) & set(MODULE_SUITES) and (
+        side > MAX_GRID_POINTS or side**dim > MAX_GRID_POINTS
+    ):
+        print(
+            "module grid of %d^%d points exceeds the limit of %d"
+            % (side, dim, MAX_GRID_POINTS),
+            file=sys.stderr,
+        )
+        return 2
     checks = []
     for name in names:
         checks.extend(suite_checks(name, v, args.e, args.degree))
@@ -146,6 +163,9 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as err:
         return err.code if err.code is not None else 0
+    if args.rank > MAX_RANK:
+        print("rank exceeds the limit of %d" % MAX_RANK, file=sys.stderr)
+        return 2
     try:
         v = Variant(args.variant, args.rank)
     except ValueError as err:

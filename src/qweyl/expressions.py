@@ -158,6 +158,14 @@ class FreeExpr:
         return "FreeExpr(%s)" % " + ".join(bits)
 
 
+def letter_tag(letter):
+    """Render a letter for reports: inverse letters mi, Ki as m1^-1, K1^-1."""
+    name, idx = letter
+    if name in ("mi", "Ki"):
+        return "%s%d^-1" % (name[0], idx)
+    return "%s%d" % (name, idx)
+
+
 def qcomm(x, y, e):
     """q-commutator [x, y]_e = x*y - q^e * y*x."""
     return x * y - (y * x).scale(scalars.qpow(e))

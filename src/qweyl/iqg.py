@@ -9,35 +9,26 @@ handled by fusing one substitution at a time into a letter -> WeylElement
 table, which keeps the work linear in the composite length.
 """
 
+import functools
+
 from . import operators
-from .expressions import FreeExpr, qcomm
+from .expressions import FreeExpr, letter_tag, qcomm
 from .report import aggregate_check, equality_check, skipped_check
-from .satake import cartan
-from .scalars import QScalar, qpow
-from .weyl import EndoSpec, WeylElement, reduce_word
+from .satake import BRAID_KINDS, braid_relation_checks, cartan
+from .scalars import qpow
+from .weyl import _QD, EndoSpec, WeylElement, reduce_word
 from . import scalars
-
-# 1/(q - q^-1)
-_QD = QScalar((0, 1), (-1, 0, 1))
-
-BRAID_KINDS = operators.BRAID_KINDS
 
 
 def validate_iletter(v, name, idx):
-    if name == "B":
-        if not 1 <= idx <= v.n:
-            raise ValueError(
-                "index out of range: B%d (nodes run 1..%d)" % (idx, v.n)
-            )
-    elif name in ("K", "Ki"):
-        if not 1 <= idx <= v.n:
-            raise ValueError(
-                "index out of range: K%d (nodes run 1..%d)" % (idx, v.n)
-            )
-        if not v.k_legal(idx):
-            raise ValueError("K%d illegal: rho fixes node %d" % (idx, idx))
-    else:
+    if name not in ("B", "K", "Ki"):
         raise ValueError("unknown generator '%s%d'" % (name, idx))
+    if not 1 <= idx <= v.n:
+        raise ValueError(
+            "index out of range: %s%d (nodes run 1..%d)" % (name[0], idx, v.n)
+        )
+    if name != "B" and not v.k_legal(idx):
+        raise ValueError("K%d illegal: rho fixes node %d" % (idx, idx))
 
 
 def iqg_letters(v):
@@ -61,16 +52,11 @@ def varsigma(v, i):
     return scalars.ZERO
 
 
-def _letter_tag(letter):
-    name, idx = letter
-    return ("K%d^-1" % idx) if name == "Ki" else "%s%d" % (name, idx)
-
-
 def iexpr_str(expr):
     """Render a free expression in B/K letters, K^-1 spelled as a power."""
     words = sorted(expr.terms, reverse=True)
     return scalars.terms_str(
-        [(" ".join(_letter_tag(l) for l in w), expr.terms[w]) for w in words],
+        [(" ".join(letter_tag(l) for l in w), expr.terms[w]) for w in words],
         sep="*",
     )
 
@@ -198,10 +184,7 @@ def _k_rho_inverse(v, expr):
 
 def _tau_k_lower(v, i, j):
     """Image of K_j (j <= r) under any tau at braid index i."""
-    pinned = (v.kind == "jmath" and i == v.rank) or (
-        v.kind == "imath" and i == v.rank + 1
-    )
-    if pinned:
+    if v.pinned(i):
         return FreeExpr.letter("K", j)
     if j == i:
         return FreeExpr.letter("K", v.rho(i))
@@ -217,7 +200,7 @@ def _tau_b_image(v, i, e, prime, j):
     def bl(a):
         return FreeExpr.letter("B", a)
 
-    if v.kind == "jmath" and i == r:
+    if v.pinned(i) and v.kind == "jmath":
         if prime:
             if j == r - 1:
                 return qcomm(qcomm(bl(r - 1), bl(r), e), bl(r + 1), e).scale(
@@ -246,7 +229,7 @@ def _tau_b_image(v, i, e, prime, j):
                 ) - FreeExpr.word((("B", r + 2), _kletter(r, -e)))
         return bl(j)
 
-    if v.kind == "imath" and i == r + 1:
+    if v.pinned(i):
         if j == r:
             return qcomm(bl(r + 1), bl(r), -e)
         if j == r + 2:
@@ -285,13 +268,7 @@ def _tau_b_image(v, i, e, prime, j):
 
 def tau_subst(v, i, e, kind):
     """The substitution tau'_{i,e} (kind "prime") or tau''_{i,e}."""
-    if kind not in BRAID_KINDS:
-        raise ValueError("unknown kind %r" % (kind,))
-    if e not in (1, -1):
-        raise ValueError("e must be +1 or -1, got %r" % (e,))
-    bmax = (v.n + 1) // 2
-    if not 1 <= i <= bmax:
-        raise ValueError("braid index out of range: i=%d (range 1..%d)" % (i, bmax))
+    v.check_braid_args(i, e, kind)
     prime = kind == "prime"
     images = {}
     for j in v.node_indices:
@@ -439,12 +416,21 @@ def check_phi_relations(v):
     return checks
 
 
+_TAU_BRAID_TEXT = {
+    "doubleprime-after-prime": "tau composite at i=%(i)d is the identity through phi",
+    "prime-after-doubleprime": "tau composite at i=%(i)d is the identity through phi",
+    "3-term": "tau%(m)s_%(h)d tau%(m)s_%(i)d tau%(m)s_%(h)d = tau%(m)s_%(i)d"
+    " tau%(m)s_%(h)d tau%(m)s_%(i)d through phi",
+    "4-term": "the 4-term braid relation at the top pair holds through phi",
+    "commute": "tau%(m)s_%(i)d and tau%(m)s_%(j)d commute through phi",
+}
+
+
 def check_intertwine(v, e):
     """The braid and anti-automorphism actions agree across phi."""
     checks = []
     letters = iqg_letters(v)
     ph = phi_spec(v)
-    bmax = (v.n + 1) // 2
 
     for kind in BRAID_KINDS:
         for i in v.braid_indices:
@@ -456,7 +442,7 @@ def check_intertwine(v, e):
                     "%s o phi = phi o %s on letters" % (t.label, s.label),
                     (
                         (
-                            _letter_tag(l),
+                            letter_tag(l),
                             t.apply(ph.image(l)),
                             ph.apply_free(s.image(l)),
                         )
@@ -472,7 +458,7 @@ def check_intertwine(v, e):
             "intertwine/omega-Omega",
             "omega o phi = phi o Omega on letters",
             (
-                (_letter_tag(l), om_w.apply(ph.image(l)), ph.apply_free(om_i.image(l)))
+                (letter_tag(l), om_w.apply(ph.image(l)), ph.apply_free(om_i.image(l)))
                 for l in letters
             ),
         )
@@ -502,98 +488,42 @@ def check_intertwine(v, e):
             )
         )
 
-    for i in v.braid_indices:
-        tp = tau_subst(v, i, e, "prime")
-        tdp = tau_subst(v, i, -e, "doubleprime")
-        for cid, h in (
-            ("prime-after-doubleprime", fuse(fuse(ph, tp), tdp)),
-            ("doubleprime-after-prime", fuse(fuse(ph, tdp), tp)),
-        ):
-            checks.append(
-                aggregate_check(
-                    "intertwine/tau-inverse/%s/i=%d" % (cid, i),
-                    "tau composite at i=%d is the identity through phi" % i,
-                    ((_letter_tag(l), h.image(l), ph.image(l)) for l in letters),
-                )
-            )
+    @functools.cache
+    def sub(t):
+        return tau_subst(v, *t)
+
+    def compose(word):
+        h = ph
+        for t in word:
+            h = fuse(h, sub(t))
+        return h
+
+    def instances(h1, h2):
+        return ((letter_tag(l), h1.image(l), h2.image(l)) for l in letters)
+
+    checks.extend(
+        braid_relation_checks(
+            v,
+            e,
+            compose,
+            instances,
+            ("intertwine/tau-inverse/", "intertwine/tau-braid/"),
+            _TAU_BRAID_TEXT,
+        )
+    )
 
     for kind in BRAID_KINDS:
         mark = "'" if kind == "prime" else "''"
-        subs = {i: tau_subst(v, i, e, kind) for i in v.braid_indices}
-
-        def chain(seq):
-            h = ph
-            for idx in seq:
-                h = fuse(h, subs[idx])
-            return h
-
-        three = range(2, bmax)
-        if not three:
-            checks.append(
-                skipped_check(
-                    "intertwine/tau-braid/3-term/%s/none" % kind,
-                    "no adjacent pair below the top index at this rank",
-                )
-            )
-        for i in three:
-            h1 = chain((i - 1, i, i - 1))
-            h2 = chain((i, i - 1, i))
-            checks.append(
-                aggregate_check(
-                    "intertwine/tau-braid/3-term/%s/i=%d" % (kind, i),
-                    "tau%s_%d tau%s_%d tau%s_%d = tau%s_%d tau%s_%d tau%s_%d through phi"
-                    % (mark, i - 1, mark, i, mark, i - 1, mark, i, mark, i - 1, mark, i),
-                    ((_letter_tag(l), h1.image(l), h2.image(l)) for l in letters),
-                )
-            )
-        if bmax >= 2:
-            i = bmax
-            h1 = chain((i - 1, i, i - 1, i))
-            h2 = chain((i, i - 1, i, i - 1))
-            checks.append(
-                aggregate_check(
-                    "intertwine/tau-braid/4-term/%s/i=%d" % (kind, i),
-                    "the 4-term braid relation at the top pair holds through phi",
-                    ((_letter_tag(l), h1.image(l), h2.image(l)) for l in letters),
-                )
-            )
-        else:
-            checks.append(
-                skipped_check(
-                    "intertwine/tau-braid/4-term/%s/none" % kind,
-                    "fewer than two braid generators at this rank",
-                )
-            )
-        pairs = [
-            (i, j) for i in v.braid_indices for j in v.braid_indices if j - i >= 2
-        ]
-        if not pairs:
-            checks.append(
-                skipped_check(
-                    "intertwine/tau-braid/commute/%s/none" % kind,
-                    "no index pairs at distance >= 2 at this rank",
-                )
-            )
-        for i, j in pairs:
-            h1 = chain((i, j))
-            h2 = chain((j, i))
-            checks.append(
-                aggregate_check(
-                    "intertwine/tau-braid/commute/%s/i=%d,j=%d" % (kind, i, j),
-                    "tau%s_%d and tau%s_%d commute through phi" % (mark, i, mark, j),
-                    ((_letter_tag(l), h1.image(l), h2.image(l)) for l in letters),
-                )
-            )
-
         for i in v.braid_indices:
-            h1 = fuse(fuse(ph, subs[i]), om_i)
-            h2 = fuse(fuse(ph, om_i), subs[i])
+            tau = sub((i, e, kind))
+            h1 = fuse(fuse(ph, tau), om_i)
+            h2 = fuse(fuse(ph, om_i), tau)
             checks.append(
                 aggregate_check(
                     "intertwine/tau-Omega/%s/i=%d" % (kind, i),
                     "tau%s_%d o Omega = Omega o tau%s_%d through phi"
                     % (mark, i, mark, i),
-                    ((_letter_tag(l), h1.image(l), h2.image(l)) for l in letters),
+                    ((letter_tag(l), h1.image(l), h2.image(l)) for l in letters),
                 )
             )
 

@@ -10,10 +10,13 @@ maps each defining relation through a table, the braid suite evaluates
 composites on generators, and omega-commutation compares the two orders.
 """
 
+import functools
+
 from . import scalars
-from .satake import cartan
+from .expressions import letter_tag
+from .satake import BRAID_KINDS, braid_relation_checks, cartan
 from .scalars import qpow
-from .report import aggregate_check, skipped_check
+from .report import aggregate_check
 from .weyl import (
     EndoSpec,
     WeylElement,
@@ -21,8 +24,6 @@ from .weyl import (
     generator_letters,
     reduce_word,
 )
-
-BRAID_KINDS = ("prime", "doubleprime")
 
 
 def _mword(v, qexp, sign, mfactors, letter):
@@ -40,16 +41,10 @@ def _mword(v, qexp, sign, mfactors, letter):
 
 def braid_op(v, i, e, kind):
     """The automorphism T'_{i,e} (kind "prime") or T''_{i,e} ("doubleprime")."""
-    if kind not in BRAID_KINDS:
-        raise ValueError("unknown kind %r" % (kind,))
-    if e not in (1, -1):
-        raise ValueError("e must be +1 or -1, got %r" % (e,))
-    bmax = (v.n + 1) // 2
-    if not 1 <= i <= bmax:
-        raise ValueError("braid index out of range: i=%d (range 1..%d)" % (i, bmax))
+    v.check_braid_args(i, e, kind)
     r = v.rank
     images = {}
-    pinned = (v.kind == "jmath" and i == r) or (v.kind == "imath" and i == r + 1)
+    pinned = v.pinned(i)
     perm = {} if pinned else {i: i + 1, i + 1: i}
     for j in v.weyl_indices:
         t = perm.get(j, j)
@@ -57,12 +52,12 @@ def braid_op(v, i, e, kind):
         images[("mi", j)] = WeylElement.generator(v, "mi", t)
         images[("d", j)] = WeylElement.generator(v, "d", j)
         images[("x", j)] = WeylElement.generator(v, "x", j)
-    if v.kind == "jmath" and i == r:
+    if pinned and v.kind == "jmath":
         images[("d", r + 1)] = _mword(v, e, 1, [(r, -2 * e)], ("d", r + 1))
         images[("d", r)] = _mword(v, -2 * e, 1, [(r, -e), (r + 1, -e)], ("d", r))
         images[("x", r + 1)] = _mword(v, -e, 1, [(r, 2 * e)], ("x", r + 1))
         images[("x", r)] = _mword(v, e, 1, [(r, e), (r + 1, e)], ("x", r))
-    elif v.kind == "imath" and i == r + 1:
+    elif pinned:
         images[("d", r + 1)] = _mword(v, 0, 1, [(r + 1, -e)], ("d", r + 1))
         images[("x", r + 1)] = _mword(v, -e, 1, [(r + 1, e)], ("x", r + 1))
     elif kind == "prime":
@@ -109,11 +104,6 @@ def psi_op(v):
     return EndoSpec(v, images, antimultiplicative=True, label="psi")
 
 
-def _letter_tag(letter):
-    name, idx = letter
-    return ("m%d^-1" % idx) if name == "mi" else "%s%d" % (name, idx)
-
-
 def check_well_defined(v, e):
     """Every braid table at sign e, plus omega and psi, preserves relations."""
     checks = []
@@ -130,119 +120,42 @@ def check_well_defined(v, e):
     return checks
 
 
+_BRAID_TEXT = {
+    "doubleprime-after-prime": "T''_{%(i)d,%(ne)+d} o T'_{%(i)d,%(e)+d} = id on generators",
+    "prime-after-doubleprime": "T'_{%(i)d,%(e)+d} o T''_{%(i)d,%(ne)+d} = id on generators",
+    "3-term": "T%(m)s_%(h)d T%(m)s_%(i)d T%(m)s_%(h)d = T%(m)s_%(i)d T%(m)s_%(h)d"
+    " T%(m)s_%(i)d on generators",
+    "4-term": "T%(m)s_%(h)d T%(m)s_%(i)d T%(m)s_%(h)d T%(m)s_%(i)d = T%(m)s_%(i)d"
+    " T%(m)s_%(h)d T%(m)s_%(i)d T%(m)s_%(h)d",
+    "commute": "T%(m)s_%(i)d T%(m)s_%(j)d = T%(m)s_%(j)d T%(m)s_%(i)d on generators",
+}
+
+
 def check_braid_suite(v, e):
     """Inverse identities and the type-B braid relations on generators."""
-    checks = []
     letters = generator_letters(v)
-    bmax = (v.n + 1) // 2
 
-    def gens():
-        return ((l, WeylElement.generator(v, *l)) for l in letters)
+    @functools.cache
+    def op(t):
+        return braid_op(v, *t)
 
-    for i in v.braid_indices:
-        tp = braid_op(v, i, e, "prime")
-        tdp = braid_op(v, i, -e, "doubleprime")
-        checks.append(
-            aggregate_check(
-                "braid/inverse/doubleprime-after-prime/i=%d" % i,
-                "T''_{%d,%+d} o T'_{%d,%+d} = id on generators" % (i, -e, i, e),
-                ((_letter_tag(l), tdp.apply(tp.image(l)), g) for l, g in gens()),
-            )
-        )
-        checks.append(
-            aggregate_check(
-                "braid/inverse/prime-after-doubleprime/i=%d" % i,
-                "T'_{%d,%+d} o T''_{%d,%+d} = id on generators" % (i, e, i, -e),
-                ((_letter_tag(l), tp.apply(tdp.image(l)), g) for l, g in gens()),
-            )
-        )
+    def compose(word):
+        def at(l):
+            if not word:
+                return WeylElement.generator(v, *l)
+            x = op(word[-1]).image(l)
+            for t in reversed(word[:-1]):
+                x = op(t).apply(x)
+            return x
 
-    for kind in BRAID_KINDS:
-        mark = "'" if kind == "prime" else "''"
-        ops = {i: braid_op(v, i, e, kind) for i in v.braid_indices}
+        return at
 
-        three = range(2, bmax)
-        if not three:
-            checks.append(
-                skipped_check(
-                    "braid/3-term/%s/none" % kind,
-                    "no adjacent pair below the top index at this rank",
-                )
-            )
-        for i in three:
-            a, b = ops[i - 1], ops[i]
-            checks.append(
-                aggregate_check(
-                    "braid/3-term/%s/i=%d" % (kind, i),
-                    "T%s_%d T%s_%d T%s_%d = T%s_%d T%s_%d T%s_%d on generators"
-                    % (mark, i - 1, mark, i, mark, i - 1, mark, i, mark, i - 1, mark, i),
-                    (
-                        (
-                            _letter_tag(l),
-                            a.apply(b.apply(a.image(l))),
-                            b.apply(a.apply(b.image(l))),
-                        )
-                        for l, _ in gens()
-                    ),
-                )
-            )
+    def instances(lhs, rhs):
+        return ((letter_tag(l), lhs(l), rhs(l)) for l in letters)
 
-        if bmax >= 2:
-            i = bmax
-            a, b = ops[i - 1], ops[i]
-            checks.append(
-                aggregate_check(
-                    "braid/4-term/%s/i=%d" % (kind, i),
-                    "T%s_%d T%s_%d T%s_%d T%s_%d = T%s_%d T%s_%d T%s_%d T%s_%d"
-                    % (
-                        mark, i - 1, mark, i, mark, i - 1, mark, i,
-                        mark, i, mark, i - 1, mark, i, mark, i - 1,
-                    ),
-                    (
-                        (
-                            _letter_tag(l),
-                            a.apply(b.apply(a.apply(b.image(l)))),
-                            b.apply(a.apply(b.apply(a.image(l)))),
-                        )
-                        for l, _ in gens()
-                    ),
-                )
-            )
-        else:
-            checks.append(
-                skipped_check(
-                    "braid/4-term/%s/none" % kind,
-                    "fewer than two braid generators at this rank",
-                )
-            )
-
-        pairs = [
-            (i, j)
-            for i in v.braid_indices
-            for j in v.braid_indices
-            if j - i >= 2
-        ]
-        if not pairs:
-            checks.append(
-                skipped_check(
-                    "braid/commute/%s/none" % kind,
-                    "no index pairs at distance >= 2 at this rank",
-                )
-            )
-        for i, j in pairs:
-            a, b = ops[i], ops[j]
-            checks.append(
-                aggregate_check(
-                    "braid/commute/%s/i=%d,j=%d" % (kind, i, j),
-                    "T%s_%d T%s_%d = T%s_%d T%s_%d on generators"
-                    % (mark, i, mark, j, mark, j, mark, i),
-                    (
-                        (_letter_tag(l), a.apply(b.image(l)), b.apply(a.image(l)))
-                        for l, _ in gens()
-                    ),
-                )
-            )
-    return checks
+    return braid_relation_checks(
+        v, e, compose, instances, ("braid/inverse/", "braid/"), _BRAID_TEXT
+    )
 
 
 def check_omega_commutes(v, e):
@@ -260,7 +173,7 @@ def check_omega_commutes(v, e):
                     "omega o T%s_{%d,%+d} = T%s_{%d,%+d} o omega on generators"
                     % (mark, i, e, mark, i, e),
                     (
-                        (_letter_tag(l), om.apply(t.image(l)), t.apply(om.image(l)))
+                        (letter_tag(l), om.apply(t.image(l)), t.apply(om.image(l)))
                         for l in letters
                     ),
                 )

@@ -11,11 +11,12 @@ import itertools
 import random
 
 from . import iqg, operators, scalars
-from .report import aggregate_check, skipped_check
+from .expressions import letter_tag
+from .report import aggregate_check
+from .satake import BRAID_KINDS as TCAL_KINDS
+from .satake import braid_relation_checks
 from .scalars import qint, qpow
 from .weyl import WeylElement, generator_letters, reduce_word
-
-TCAL_KINDS = operators.BRAID_KINDS
 
 
 def _exps_str(exps):
@@ -257,16 +258,14 @@ def act(v, elem, poly):
 
 def _tcal_point(v, i, e, kind, a):
     """Sign, q-exponent and new exponent vector of one tcal on X^a."""
-    r = v.rank
-    if v.kind == "jmath" and i == r:
-        aa, bb = a[r - 1], a[r]
-        num = aa * aa + 3 * aa - 2 * bb + 4 * aa * bb
-        if num % 2:
-            raise ArithmeticError("diagonal exponent must be an integer")
-        return 1, e * (num // 2), a
-    if v.kind == "imath" and i == r + 1:
-        aa = a[r]
-        num = aa * aa - aa
+    if v.pinned(i):
+        r = v.rank
+        if v.kind == "jmath":
+            aa, bb = a[r - 1], a[r]
+            num = aa * aa + 3 * aa - 2 * bb + 4 * aa * bb
+        else:
+            aa = a[r]
+            num = aa * aa - aa
         if num % 2:
             raise ArithmeticError("diagonal exponent must be an integer")
         return 1, e * (num // 2), a
@@ -280,13 +279,7 @@ def _tcal_point(v, i, e, kind, a):
 
 def tcal(v, i, e, kind, poly):
     """The braid operator on polynomials with subscripts i and e."""
-    if kind not in TCAL_KINDS:
-        raise ValueError("unknown kind %r" % (kind,))
-    if e not in (1, -1):
-        raise ValueError("e must be +1 or -1, got %r" % (e,))
-    bmax = (v.n + 1) // 2
-    if not 1 <= i <= bmax:
-        raise ValueError("braid index out of range: i=%d (range 1..%d)" % (i, bmax))
+    v.check_braid_args(i, e, kind)
     if poly.variant != v:
         raise ValueError("variant mismatch")
     out = {}
@@ -307,11 +300,6 @@ def tcal(v, i, e, kind, poly):
 def grid(v, bound):
     """All exponent vectors with entries 0..bound, in lexicographic order."""
     return itertools.product(range(bound + 1), repeat=v.rank + 1)
-
-
-def _wtag(letter):
-    name, idx = letter
-    return ("m%d^-1" % idx) if name == "mi" else "%s%d" % (name, idx)
 
 
 def check_module_homomorphism(v, bound):
@@ -337,7 +325,7 @@ def check_module_homomorphism(v, bound):
             aggregate_check(
                 "module-homomorphism/word/%02d" % w,
                 "the word %s acts like its normal form on the grid"
-                % " ".join(_wtag(l) for l in word),
+                % " ".join(letter_tag(l) for l in word),
                 (
                     (
                         "X^%s" % (a,),
@@ -359,8 +347,8 @@ def check_module_homomorphism(v, bound):
                 "module-homomorphism/assoc/%02d" % t,
                 "acting by %s * %s equals acting twice on the grid"
                 % (
-                    " ".join(_wtag(l) for l in wu),
-                    " ".join(_wtag(l) for l in ww),
+                    " ".join(letter_tag(l) for l in wu),
+                    " ".join(letter_tag(l) for l in ww),
                 ),
                 (
                     (
@@ -375,21 +363,31 @@ def check_module_homomorphism(v, bound):
     return checks
 
 
+_TCAL_TEXT = {
+    "doubleprime-after-prime": "the two polynomial braid operators at i=%(i)d"
+    " invert each other",
+    "prime-after-doubleprime": "the two polynomial braid operators at i=%(i)d"
+    " invert each other",
+    "3-term": "the 3-term braid move at i=%(i)d holds on the grid",
+    "4-term": "the 4-term braid move at the top pair holds on the grid",
+    "commute": "distant polynomial braid operators commute on the grid",
+}
+
+
 def check_tcal_suite(v, e, bound):
     """Intertwining with the algebra braid action, inverses, braid moves."""
     checks = []
     letters = generator_letters(v)
-    bmax = (v.n + 1) // 2
     pts = list(grid(v, bound))
 
-    def instances(t_op, tc_i, tc_e, tc_kind):
+    def intertwine(t_op, tc_i, tc_e, tc_kind):
         for name, idx in letters:
             img = t_op.images[(name, idx)]
             for a in pts:
                 mono = PolyElement.monomial(v, a)
                 lhs = tcal(v, tc_i, tc_e, tc_kind, act_letter(v, name, idx, mono))
                 rhs = act(v, img, tcal(v, tc_i, tc_e, tc_kind, mono))
-                yield "%s on X^%s" % (_wtag((name, idx)), (a,)), lhs, rhs
+                yield "%s on X^%s" % (letter_tag((name, idx)), (a,)), lhs, rhs
 
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
@@ -399,103 +397,27 @@ def check_tcal_suite(v, e, bound):
                     "tcal/intertwine/%s/i=%d" % (kind, i),
                     "moving a generator across the polynomial braid operator"
                     " matches %s" % t_op.label,
-                    instances(t_op, i, e, kind),
+                    intertwine(t_op, i, e, kind),
                 )
             )
 
-    def composite(seq, a):
-        poly = PolyElement.monomial(v, a)
-        for ci, ce, ckind in reversed(seq):
-            poly = tcal(v, ci, ce, ckind, poly)
-        return poly
+    def compose(word):
+        def at(a):
+            poly = PolyElement.monomial(v, a)
+            for t in reversed(word):
+                poly = tcal(v, *t, poly)
+            return poly
 
-    for i in v.braid_indices:
-        for cid, seq in (
-            ("prime-after-doubleprime", ((i, e, "prime"), (i, -e, "doubleprime"))),
-            ("doubleprime-after-prime", ((i, -e, "doubleprime"), (i, e, "prime"))),
-        ):
-            checks.append(
-                aggregate_check(
-                    "tcal/inverse/%s/i=%d" % (cid, i),
-                    "the two polynomial braid operators at i=%d invert each other"
-                    % i,
-                    (
-                        (
-                            "X^%s" % (a,),
-                            composite(seq, a),
-                            PolyElement.monomial(v, a),
-                        )
-                        for a in pts
-                    ),
-                )
-            )
+        return at
 
-    for kind in TCAL_KINDS:
-        three = range(2, bmax)
-        if not three:
-            checks.append(
-                skipped_check(
-                    "tcal/braid/3-term/%s/none" % kind,
-                    "no adjacent pair below the top index at this rank",
-                )
-            )
-        for i in three:
-            seq1 = ((i - 1, e, kind), (i, e, kind), (i - 1, e, kind))
-            seq2 = ((i, e, kind), (i - 1, e, kind), (i, e, kind))
-            checks.append(
-                aggregate_check(
-                    "tcal/braid/3-term/%s/i=%d" % (kind, i),
-                    "the 3-term braid move at i=%d holds on the grid" % i,
-                    (
-                        ("X^%s" % (a,), composite(seq1, a), composite(seq2, a))
-                        for a in pts
-                    ),
-                )
-            )
-        if bmax >= 2:
-            i = bmax
-            seq1 = ((i - 1, e, kind), (i, e, kind)) * 2
-            seq2 = ((i, e, kind), (i - 1, e, kind)) * 2
-            checks.append(
-                aggregate_check(
-                    "tcal/braid/4-term/%s/i=%d" % (kind, i),
-                    "the 4-term braid move at the top pair holds on the grid",
-                    (
-                        ("X^%s" % (a,), composite(seq1, a), composite(seq2, a))
-                        for a in pts
-                    ),
-                )
-            )
-        else:
-            checks.append(
-                skipped_check(
-                    "tcal/braid/4-term/%s/none" % kind,
-                    "fewer than two braid generators at this rank",
-                )
-            )
-        pairs = [
-            (i, j) for i in v.braid_indices for j in v.braid_indices if j - i >= 2
-        ]
-        if not pairs:
-            checks.append(
-                skipped_check(
-                    "tcal/braid/commute/%s/none" % kind,
-                    "no index pairs at distance >= 2 at this rank",
-                )
-            )
-        for i, j in pairs:
-            seq1 = ((i, e, kind), (j, e, kind))
-            seq2 = ((j, e, kind), (i, e, kind))
-            checks.append(
-                aggregate_check(
-                    "tcal/braid/commute/%s/i=%d,j=%d" % (kind, i, j),
-                    "distant polynomial braid operators commute on the grid",
-                    (
-                        ("X^%s" % (a,), composite(seq1, a), composite(seq2, a))
-                        for a in pts
-                    ),
-                )
-            )
+    def instances(lhs, rhs):
+        return (("X^%s" % (a,), lhs(a), rhs(a)) for a in pts)
+
+    checks.extend(
+        braid_relation_checks(
+            v, e, compose, instances, ("tcal/inverse/", "tcal/braid/"), _TCAL_TEXT
+        )
+    )
     return checks
 
 
@@ -517,7 +439,7 @@ def check_iu_module(v, e, bound):
                         mono = PolyElement.monomial(v, a)
                         lhs = tcal(v, i, e, kind, act(v, phi_u, mono))
                         rhs = act(v, moved[u], tcal(v, i, e, kind, mono))
-                        yield "%s on X^%s" % (iqg._letter_tag(u), (a,)), lhs, rhs
+                        yield "%s on X^%s" % (letter_tag(u), (a,)), lhs, rhs
 
             checks.append(
                 aggregate_check(

@@ -351,10 +351,7 @@ class EndoSpec:
 
 
 def identity_endo(v):
-    images = {}
-    for i in v.weyl_indices:
-        for name in WEYL_LETTER_NAMES:
-            images[(name, i)] = WeylElement.generator(v, name, i)
+    images = {l: WeylElement.generator(v, *l) for l in generator_letters(v)}
     return EndoSpec(v, images, label="id")
 
 

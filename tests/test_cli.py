@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from qweyl import operators, scalars
+from qweyl import cli, operators, scalars
 from qweyl.cli import main
 from qweyl.weyl import EndoSpec
 
@@ -170,3 +170,53 @@ def test_mutation_fails_verify(capsys, monkeypatch):
     )
     assert rc == 1
     assert "[fail]" in out
+
+
+def test_huge_rank_is_rejected(capsys):
+    t0 = time.perf_counter()
+    for argv in (
+        ["normalize", "x1"],
+        ["apply", "x1", "--op", "omega"],
+        ["act", "x1", "--on", "X1"],
+        ["verify", "braid"],
+    ):
+        rc, out, err = run(capsys, argv + ["--variant", "jmath", "--rank", "1000000000"])
+        assert rc == 2 and out == "" and "rank exceeds the limit of 64" in err
+    rc, _, err = run(capsys, ["normalize", "x1", "--variant", "imath", "--rank", "65"])
+    assert rc == 2 and "rank exceeds the limit of 64" in err
+    rc, out, _ = run(capsys, ["normalize", "x64", "--variant", "imath", "--rank", "64"])
+    assert rc == 0 and out == "x64\n"
+    assert time.perf_counter() - t0 < 5
+
+
+def test_huge_module_grid_is_rejected(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(
+        cli, "suite_checks", lambda name, v, e, degree: ran.append(name) or []
+    )
+    t0 = time.perf_counter()
+    for suite in ("module-homomorphism", "tcal", "iu-module", "all"):
+        rc, out, err = run(
+            capsys,
+            ["verify", suite, "--variant", "jmath", "--rank", "6", "--degree", "7"],
+        )
+        assert rc == 2 and out == ""
+        assert "module grid of 8^7 points exceeds the limit of 1000000" in err
+    rc, _, err = run(
+        capsys,
+        ["verify", "tcal", "--variant", "imath", "--rank", "1", "--degree", str(10**9)],
+    )
+    assert rc == 2 and "exceeds the limit of 1000000" in err
+    assert ran == []
+    assert time.perf_counter() - t0 < 5
+    # 7^7 = 823,543 points is still accepted, and algebra suites never walk
+    # the grid, whatever the degree.
+    rc, _, _ = run(
+        capsys, ["verify", "all", "--variant", "jmath", "--rank", "6", "--degree", "6"]
+    )
+    assert rc == 0 and ran == list(cli.SUITES)
+    rc, _, _ = run(
+        capsys,
+        ["verify", "braid", "--variant", "jmath", "--rank", "6", "--degree", str(10**9)],
+    )
+    assert rc == 0 and ran[-1] == "braid"
