@@ -194,6 +194,9 @@ def act_word(v, word, poly, coeff=scalars.ONE):
     return poly.scale(coeff) if coeff != scalars.ONE else poly
 
 
+# Per variant: (monomial, exponents on its support) -> action image; each
+# per-variant table is bounded and starts over when full.
+_ACT_CACHE_MAX = 1 << 16
 _ACT_CACHE = {}
 
 
@@ -226,7 +229,7 @@ def _mono_act(v, mono, a):
                 coeff = coeff * qint(k * (t - s))
             new.append(t - be + al)
         hit = None if coeff is None else (coeff, tuple(new))
-        cache[key] = hit
+        scalars.remember(cache, key, hit, _ACT_CACHE_MAX)
     if hit is None:
         return None
     coeff, new = hit

@@ -160,8 +160,13 @@ _shape_poly = {}  # shape -> denominator tuple
 _UNSEEN = object()
 
 
-def _remember(table, key, value):
-    if len(table) >= _SHAPE_TABLE_MAX:
+def remember(table, key, value, cap):
+    """table[key] = value in a table of at most cap entries.
+
+    A full table is emptied first: every entry can be computed again, and
+    starting over needs no record of which entry is oldest.
+    """
+    if len(table) >= cap:
         table.clear()
     table[key] = value
 
@@ -209,7 +214,7 @@ def _shape(d):
     s = _shape_of.get(d, _UNSEEN)
     if s is _UNSEEN:
         s = _find_shape(d)
-        _remember(_shape_of, d, s)
+        remember(_shape_of, d, s, _SHAPE_TABLE_MAX)
     return s
 
 
@@ -224,8 +229,8 @@ def _from_shape(s):
         for _ in range(b):
             d = p_mul(d, (1, 1))
         d = p_shift(tuple(c * x for x in d), j)
-        _remember(_shape_poly, s, d)
-        _remember(_shape_of, d, s)
+        remember(_shape_poly, s, d, _SHAPE_TABLE_MAX)
+        remember(_shape_of, d, s, _SHAPE_TABLE_MAX)
     return d
 
 
@@ -355,6 +360,9 @@ class QScalar:
         return NotImplemented
 
     def __hash__(self):
+        # an integer-valued scalar equals that int, so it must hash like it
+        if self.den == P_ONE and len(self.num) <= 1:
+            return hash(self.num[0] if self.num else 0)
         return hash((self.num, self.den))
 
     def __neg__(self):

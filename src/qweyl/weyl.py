@@ -134,6 +134,30 @@ def _append_left(v, terms, name, idx):
     raise ValueError("unknown generator '%s%s'" % (name, idx))
 
 
+# Products of two triples at one index, keyed by (kappa, t1, t2): a tuple of
+# (triple, scalar) pairs, filled from _append_right so the rewrite rules stay
+# written once.  Distinct indices commute, so WeylElement.__mul__ multiplies
+# canonical monomials one index at a time through this table.
+_PRODUCT_TABLE_MAX = 1 << 16
+_products = {}
+
+
+def _index_product(v, p, t1, t2):
+    """The triple t1 times the triple t2 at index p + 1."""
+    key = (v.kappa(p + 1), t1, t2)
+    pairs = _products.get(key)
+    if pairs is None:
+        unit = unit_mono(v)
+        terms = {_set_triple(unit, p, t1): scalars.ONE}
+        for name, idx in mono_word(_set_triple(unit, p, t2)):
+            terms = _append_right(v, terms, name, idx)
+        # a scalar equal to 1 is stored as scalars.ONE itself, which the
+        # product loop skips by identity
+        pairs = tuple((m[p], scalars.ONE if c == 1 else c) for m, c in terms.items())
+        scalars.remember(_products, key, pairs, _PRODUCT_TABLE_MAX)
+    return pairs
+
+
 def mono_word(mono):
     """Canonical letter word of a monomial: per index x, then d, then m."""
     word = []
@@ -227,16 +251,34 @@ class WeylElement:
             return self.scale(other)
         if not isinstance(other, WeylElement):
             return NotImplemented
-        if self.variant != other.variant:
-            raise ValueError("variant mismatch")
         v = self.variant
+        if v is not other.variant and v != other.variant:
+            raise ValueError("variant mismatch")
+        one = scalars.ONE
         out = {}
         for mono2, c2 in other.terms.items():
-            cur = {m1: c1 * c2 for m1, c1 in self.terms.items()}
-            for name, idx in mono_word(mono2):
-                cur = _append_right(v, cur, name, idx)
-            for m, c in cur.items():
-                _acc(out, m, c)
+            support = [(p, v.kappa(p + 1), t) for p, t in enumerate(mono2) if t != (0, 0, 0)]
+            for mono1, c1 in self.terms.items():
+                c = c1 if c2 is one else c2 if c1 is one else c1 * c2
+                # partial products over the indices done so far; usually one
+                partial = [(list(mono1), c)]
+                for p, k, t2 in support:
+                    t1 = mono1[p]
+                    pairs = _products.get((k, t1, t2)) or _index_product(v, p, t1, t2)
+                    if len(pairs) == 1:
+                        ((t, s),) = pairs
+                        for m, _ in partial:
+                            m[p] = t
+                        if s is not one:
+                            partial = [(m, c * s) for m, c in partial]
+                    else:
+                        partial = [
+                            (m[:p] + [t] + m[p + 1 :], c if s is one else c * s)
+                            for m, c in partial
+                            for t, s in pairs
+                        ]
+                for m, c in partial:
+                    _acc(out, tuple(m), c)
         return WeylElement(v, out)
 
     def __rmul__(self, other):

@@ -56,6 +56,17 @@ def test_zero_and_one():
     assert ONE
 
 
+def test_integer_scalars_hash_like_ints():
+    for n in (0, 1, -1, 5):
+        s = from_int(n)
+        assert s == n and hash(s) == hash(n)
+        assert len({s, n}) == 1
+        assert {n: "x"}.get(s) == "x"
+        assert {s: "y"}.get(n) == "y"
+    assert hash(QScalar((5,), (1,))) == hash(5)
+    assert {q: 1}.get(q * ONE) == 1
+
+
 def test_zero_divisor_errors():
     with pytest.raises(ZeroDivisionError, match="zero divisor"):
         QScalar((1,), ())

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from qweyl import scalars
+from qweyl import scalars, weyl
 from qweyl.expressions import FreeExpr
+from qweyl.operators import braid_op
 from qweyl.satake import Variant
 from qweyl.scalars import QScalar, from_int, qpow
 from qweyl.weyl import (
@@ -265,3 +266,77 @@ def test_errors():
     with pytest.raises(ValueError, match="unknown strategy"):
         reduce_word(J2, (("x", 1),), strategy="middle")
     assert unit_mono(J1) == ((0, 0, 0), (0, 0, 0))
+
+
+def _triples(maxexp=3):
+    for e in range(maxexp + 1):
+        for xd in sorted({(e, 0), (0, e)}):
+            for c in range(-maxexp, maxexp + 1):
+                yield xd + (c,)
+
+
+def test_index_product_table_matches_letter_replay(monkeypatch):
+    monkeypatch.setattr(weyl, "_products", {})
+    # J1 has kappa 1 at index 1 and kappa 2 at index 2
+    v = J1
+    triples = list(_triples())
+    assert len(triples) == 49
+    unit = unit_mono(v)
+    for p in (0, 1):
+        k = v.kappa(p + 1)
+        for t1 in triples:
+            for t2 in triples:
+                m1 = unit[:p] + (t1,) + unit[p + 1 :]
+                m2 = unit[:p] + (t2,) + unit[p + 1 :]
+                replay = reduce_word(v, mono_word(m1) + mono_word(m2))
+                weyl._index_product(v, p, t1, t2)
+                pairs = weyl._products[(k, t1, t2)]
+                table = {unit[:p] + (t,) + unit[p + 1 :]: s for t, s in pairs}
+                assert table == replay.terms
+
+
+def test_products_match_word_reduction_random():
+    rng = random.Random(9001)
+    multi = 0
+    for kind in ("jmath", "imath"):
+        for rank in (1, 2, 3):
+            v = Variant(kind, rank)
+            letters = generator_letters(v)
+            ops = [
+                braid_op(v, i, e, k)
+                for i in range(1, v.bmax + 1)
+                for e in (1, -1)
+                for k in ("prime", "doubleprime")
+            ]
+            for strategy in ("left", "right"):
+                for _ in range(20):
+                    w1 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+                    w2 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+                    a = reduce_word(v, w1, strategy=strategy)
+                    b = reduce_word(v, w2, strategy=strategy)
+                    assert a * b == reduce_word(v, w1 + w2, strategy=strategy)
+                    # multi-term left factors: a braid image plus a multiple of a
+                    left = rng.choice(ops).apply(a) + a.scale(qpow(rng.randint(-2, 2)))
+                    multi += len(left.terms) > 1
+                    expect = WeylElement(v, {})
+                    for m, c in left.terms.items():
+                        expect = expect + reduce_word(v, mono_word(m) + w2, c, strategy)
+                    assert left * b == expect
+    assert multi > 100
+
+
+def test_product_table_is_bounded(monkeypatch):
+    monkeypatch.setattr(weyl, "_PRODUCT_TABLE_MAX", 8)
+    monkeypatch.setattr(weyl, "_products", {})
+    rng = random.Random(77)
+    sizes = []
+    for v in (J2, I2):
+        letters = generator_letters(v)
+        for _ in range(60):
+            w1 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            w2 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+            assert reduce_word(v, w1) * reduce_word(v, w2) == reduce_word(v, w1 + w2)
+            sizes.append(len(weyl._products))
+    assert max(sizes) <= 8
+    # the table filled up and started over, more than once
+    assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 1
