@@ -16,7 +16,7 @@ from .report import aggregate_check
 from .satake import BRAID_KINDS as TCAL_KINDS
 from .satake import braid_relation_checks
 from .scalars import qint, qpow
-from .weyl import WeylElement, generator_letters, reduce_word
+from .weyl import WeylElement, generator_letters, reduce_word, validate_letter
 
 
 def _exps_str(exps):
@@ -63,7 +63,8 @@ class PolyElement:
 
     def _coerce(self, other):
         if isinstance(other, PolyElement):
-            if other.variant != self.variant:
+            # identity first, here and below: Variant.__eq__ is a Python call
+            if other.variant is not self.variant and other.variant != self.variant:
                 raise ValueError("variant mismatch")
             return other
         if isinstance(other, (int, scalars.QScalar)):
@@ -159,7 +160,8 @@ class PolyElement:
 
 def act_letter(v, name, idx, poly):
     """One generator letter applied to a polynomial."""
-    if poly.variant != v:
+    validate_letter(v, name, idx)
+    if poly.variant is not v and poly.variant != v:
         raise ValueError("variant mismatch")
     k = v.kappa(idx)
     p = idx - 1
@@ -174,10 +176,8 @@ def act_letter(v, name, idx, poly):
             a = a[:p] + (a[p] + 1,) + a[p + 1 :]
         elif name == "m":
             c = c * qpow(k * a[p])
-        elif name == "mi":
+        else:  # "mi"
             c = c * qpow(-k * a[p])
-        else:
-            raise ValueError("unknown generator '%s%d'" % (name, idx))
         s = out.get(a)
         s = c if s is None else s + c
         if s:
@@ -194,64 +194,74 @@ def act_word(v, word, poly, coeff=scalars.ONE):
     return poly.scale(coeff) if coeff != scalars.ONE else poly
 
 
-# Per variant: (monomial, exponents on its support) -> action image; each
-# per-variant table is bounded and starts over when full.
+# Per variant, keyed by (kind, rank), which hashes without a Python call:
+# (monomial, exponents on its support) -> action image, None when the
+# monomial annihilates.  Beside it, the support of each monomial.  Every
+# table is bounded and starts over when full.
 _ACT_CACHE_MAX = 1 << 16
 _ACT_CACHE = {}
+_support_of = {}
+_UNSEEN = object()
 
 
-def _mono_act(v, mono, a):
-    """Scalar and exponent image of one canonical monomial on X^a.
+def _mono_image(v, mono, support, sub):
+    """Scalar and new support exponents of a canonical monomial on X^a.
 
-    Cached on the entries of a inside the support of the monomial; the
-    action never reads the other positions.  Returns None when the
-    monomial annihilates X^a.
+    sub lists the entries of a on the support of the monomial; the action
+    never reads the other positions.  None when the monomial annihilates X^a.
     """
-    support = tuple(p for p, t in enumerate(mono) if t != (0, 0, 0))
-    key = (mono, tuple(a[p] for p in support))
-    cache = _ACT_CACHE.get(v)
-    if cache is None:
-        cache = _ACT_CACHE[v] = {}
-    hit = cache.get(key)
-    if hit is None and key not in cache:
-        coeff = scalars.ONE
-        new = []
-        for p in support:
-            al, be, ga = mono[p]
-            k = v.kappa(p + 1)
-            t = a[p]
-            if t < be:
-                coeff = None
-                break
-            if ga:
-                coeff = coeff * qpow(ga * k * t)
-            for s in range(be):
-                coeff = coeff * qint(k * (t - s))
-            new.append(t - be + al)
-        hit = None if coeff is None else (coeff, tuple(new))
-        scalars.remember(cache, key, hit, _ACT_CACHE_MAX)
-    if hit is None:
-        return None
-    coeff, new = hit
-    out = list(a)
-    for p, t in zip(support, new):
-        out[p] = t
-    return coeff, tuple(out)
+    coeff = scalars.ONE
+    new = []
+    for p, t in zip(support, sub):
+        al, be, ga = mono[p]
+        k = v.kappa(p + 1)
+        if t < be:
+            return None
+        if ga:
+            coeff = coeff * qpow(ga * k * t)
+        for s in range(be):
+            coeff = coeff * qint(k * (t - s))
+        new.append(t - be + al)
+    return coeff, tuple(new)
 
 
 def act(v, elem, poly):
     """A Weyl-algebra element applied to a polynomial."""
-    if elem.variant != v or poly.variant != v:
-        raise ValueError("variant mismatch")
+    for x in (elem, poly):
+        if x.variant is not v and x.variant != v:
+            raise ValueError("variant mismatch")
+    vkey = (v.kind, v.rank)
+    cache = _ACT_CACHE.get(vkey)
+    if cache is None:
+        cache = _ACT_CACHE[vkey] = {}
+    one = scalars.ONE
     out = {}
     for mono, mc in elem.terms.items():
+        support = _support_of.get(mono)
+        if support is None:
+            support = tuple(p for p, t in enumerate(mono) if t != (0, 0, 0))
+            scalars.remember(_support_of, mono, support, _ACT_CACHE_MAX)
         for a, c in poly.terms.items():
-            img = _mono_act(v, mono, a)
+            sub = tuple([a[p] for p in support])
+            key = (mono, sub)
+            img = cache.get(key, _UNSEEN)
+            if img is _UNSEEN:
+                img = _mono_image(v, mono, support, sub)
+                scalars.remember(cache, key, img, _ACT_CACHE_MAX)
             if img is None:
                 continue
-            w, b = img
+            w, new = img
+            b = list(a)
+            for p, t in zip(support, new):
+                b[p] = t
+            b = tuple(b)
+            # grid monomials and most letter images carry the coefficient 1
+            if c is not one:
+                w = c * w
+            if mc is not one:
+                w = mc * w
             s = out.get(b)
-            s = mc * c * w if s is None else s + mc * c * w
+            s = w if s is None else s + w
             if s:
                 out[b] = s
             else:
@@ -283,12 +293,14 @@ def _tcal_point(v, i, e, kind, a):
 def tcal(v, i, e, kind, poly):
     """The braid operator on polynomials with subscripts i and e."""
     v.check_braid_args(i, e, kind)
-    if poly.variant != v:
+    if poly.variant is not v and poly.variant != v:
         raise ValueError("variant mismatch")
     out = {}
     for a, c in poly.terms.items():
         sign, k, b = _tcal_point(v, i, e, kind, a)
-        w = c * qpow(k)
+        w = qpow(k)
+        if c is not scalars.ONE:
+            w = c * w
         if sign < 0:
             w = -w
         s = out.get(b)
@@ -305,20 +317,24 @@ def grid(v, bound):
     return itertools.product(range(bound + 1), repeat=v.rank + 1)
 
 
+def _grid_monos(v, bound):
+    """(a, X^a) over the grid; built directly, a grid point needs no checks."""
+    one = scalars.ONE
+    return [(a, PolyElement(v, {a: one})) for a in grid(v, bound)]
+
+
 def check_module_homomorphism(v, bound):
     """Letter-by-letter action agrees with acting by the normal form."""
     rng = random.Random("module-homomorphism/%s/%d/%d" % (v.kind, v.rank, bound))
     letters = generator_letters(v)
+    monos = _grid_monos(v, bound)
     checks = []
     unit = WeylElement.unit(v)
     checks.append(
         aggregate_check(
             "module-homomorphism/unit",
             "the empty word acts as the identity on the grid",
-            (
-                ("X^%s" % (a,), act(v, unit, PolyElement.monomial(v, a)), PolyElement.monomial(v, a))
-                for a in grid(v, bound)
-            ),
+            (("X^%s" % (a,), act(v, unit, m), m) for a, m in monos),
         )
     )
     for w in range(10):
@@ -330,12 +346,8 @@ def check_module_homomorphism(v, bound):
                 "the word %s acts like its normal form on the grid"
                 % " ".join(letter_tag(l) for l in word),
                 (
-                    (
-                        "X^%s" % (a,),
-                        act_word(v, word, PolyElement.monomial(v, a)),
-                        act(v, elem, PolyElement.monomial(v, a)),
-                    )
-                    for a in grid(v, bound)
+                    ("X^%s" % (a,), act_word(v, word, m), act(v, elem, m))
+                    for a, m in monos
                 ),
             )
         )
@@ -354,12 +366,8 @@ def check_module_homomorphism(v, bound):
                     " ".join(letter_tag(l) for l in ww),
                 ),
                 (
-                    (
-                        "X^%s" % (a,),
-                        act(v, prod, PolyElement.monomial(v, a)),
-                        act(v, eu, act(v, ew, PolyElement.monomial(v, a))),
-                    )
-                    for a in grid(v, bound)
+                    ("X^%s" % (a,), act(v, prod, m), act(v, eu, act(v, ew, m)))
+                    for a, m in monos
                 ),
             )
         )
@@ -381,16 +389,18 @@ def check_tcal_suite(v, e, bound):
     """Intertwining with the algebra braid action, inverses, braid moves."""
     checks = []
     letters = generator_letters(v)
-    pts = list(grid(v, bound))
+    monos = _grid_monos(v, bound)
 
     def intertwine(t_op, tc_i, tc_e, tc_kind):
+        # the tcal image of each grid monomial serves every letter
+        tcal_monos = [tcal(v, tc_i, tc_e, tc_kind, m) for _, m in monos]
         for name, idx in letters:
             img = t_op.images[(name, idx)]
-            for a in pts:
-                mono = PolyElement.monomial(v, a)
-                lhs = tcal(v, tc_i, tc_e, tc_kind, act_letter(v, name, idx, mono))
-                rhs = act(v, img, tcal(v, tc_i, tc_e, tc_kind, mono))
-                yield "%s on X^%s" % (letter_tag((name, idx)), (a,)), lhs, rhs
+            tag = letter_tag((name, idx))
+            for (a, m), tm in zip(monos, tcal_monos):
+                lhs = tcal(v, tc_i, tc_e, tc_kind, act_letter(v, name, idx, m))
+                rhs = act(v, img, tm)
+                yield "%s on X^%s" % (tag, (a,)), lhs, rhs
 
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
@@ -405,8 +415,7 @@ def check_tcal_suite(v, e, bound):
             )
 
     def compose(word):
-        def at(a):
-            poly = PolyElement.monomial(v, a)
+        def at(poly):
             for t in reversed(word):
                 poly = tcal(v, *t, poly)
             return poly
@@ -414,7 +423,7 @@ def check_tcal_suite(v, e, bound):
         return at
 
     def instances(lhs, rhs):
-        return (("X^%s" % (a,), lhs(a), rhs(a)) for a in pts)
+        return (("X^%s" % (a,), lhs(m), rhs(m)) for a, m in monos)
 
     checks.extend(
         braid_relation_checks(
@@ -429,20 +438,21 @@ def check_iu_module(v, e, bound):
     checks = []
     letters = iqg.iqg_letters(v)
     ph = iqg.phi_spec(v)
-    pts = list(grid(v, bound))
+    monos = _grid_monos(v, bound)
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
             s = iqg.tau_subst(v, i, e, kind)
             moved = {u: ph.apply_free(s.image(u)) for u in letters}
 
             def instances(i=i, kind=kind, moved=moved):
+                # the tcal image of each grid monomial serves every letter
+                tcal_monos = [tcal(v, i, e, kind, m) for _, m in monos]
                 for u in letters:
-                    phi_u = ph.image(u)
-                    for a in pts:
-                        mono = PolyElement.monomial(v, a)
-                        lhs = tcal(v, i, e, kind, act(v, phi_u, mono))
-                        rhs = act(v, moved[u], tcal(v, i, e, kind, mono))
-                        yield "%s on X^%s" % (letter_tag(u), (a,)), lhs, rhs
+                    phi_u, moved_u, tag = ph.image(u), moved[u], letter_tag(u)
+                    for (a, m), tm in zip(monos, tcal_monos):
+                        lhs = tcal(v, i, e, kind, act(v, phi_u, m))
+                        rhs = act(v, moved_u, tm)
+                        yield "%s on X^%s" % (tag, (a,)), lhs, rhs
 
             checks.append(
                 aggregate_check(

@@ -160,14 +160,17 @@ _shape_poly = {}  # shape -> denominator tuple
 _UNSEEN = object()
 
 
-def remember(table, key, value, cap):
+def remember(table, key, value, cap, seed=None):
     """table[key] = value in a table of at most cap entries.
 
-    A full table is emptied first: every entry can be computed again, and
-    starting over needs no record of which entry is oldest.
+    A full table is emptied first and refilled from the dict seed, if one
+    is given: every other entry can be computed again, and starting over
+    needs no record of which entry is oldest.  cap must exceed len(seed).
     """
     if len(table) >= cap:
         table.clear()
+        if seed:
+            table.update(seed)
     table[key] = value
 
 
@@ -487,18 +490,25 @@ ZERO = QScalar._raw(P_ZERO, P_ONE)
 ONE = QScalar._raw(P_ONE, P_ONE)
 MINUS_ONE = QScalar._raw((-1,), P_ONE)
 
-_int_cache = {0: ZERO, 1: ONE, -1: MINUS_ONE}
-_qpow_cache = {0: ONE}
+# Tables of constants, bounded through remember.  The seeds come back after
+# every start-over: weyl compares ONE by identity, so qpow(0) and
+# from_int(0/1/-1) must return the module constants, and the factorials
+# recurse down to their entries at 0.
+_CONST_TABLE_MAX = 1 << 14
+_INT_SEED = {0: ZERO, 1: ONE, -1: MINUS_ONE}
+_UNIT_SEED = {0: ONE}
+_int_cache = dict(_INT_SEED)
+_qpow_cache = dict(_UNIT_SEED)
 _qint_cache = {}
-_qfact_cache = {0: ONE}
-_qdfact_cache = {0: ONE}
+_qfact_cache = dict(_UNIT_SEED)
+_qdfact_cache = dict(_UNIT_SEED)
 
 
 def from_int(c):
     s = _int_cache.get(c)
     if s is None:
         s = QScalar._raw((c,), P_ONE)
-        _int_cache[c] = s
+        remember(_int_cache, c, s, _CONST_TABLE_MAX, _INT_SEED)
     return s
 
 
@@ -514,7 +524,7 @@ def qpow(k):
             s = QScalar._raw((0,) * k + (1,), P_ONE)
         else:
             s = QScalar._raw(P_ONE, (0,) * (-k) + (1,))
-        _qpow_cache[k] = s
+        remember(_qpow_cache, k, s, _CONST_TABLE_MAX, _UNIT_SEED)
     return s
 
 
@@ -530,7 +540,7 @@ def qint(n):
             num = tuple(1 if i % 2 == 0 else 0 for i in range(2 * n - 1))
             den = (0,) * (n - 1) + (1,) if n > 1 else P_ONE
             s = QScalar._raw(num, den)
-        _qint_cache[n] = s
+        remember(_qint_cache, n, s, _CONST_TABLE_MAX)
     return s
 
 
@@ -541,7 +551,7 @@ def qfact(n):
     s = _qfact_cache.get(n)
     if s is None:
         s = qfact(n - 1) * qint(n)
-        _qfact_cache[n] = s
+        remember(_qfact_cache, n, s, _CONST_TABLE_MAX, _UNIT_SEED)
     return s
 
 
@@ -552,7 +562,7 @@ def qdoublefact(a):
     s = _qdfact_cache.get(a)
     if s is None:
         s = qdoublefact(a - 1) * qint(2 * a)
-        _qdfact_cache[a] = s
+        remember(_qdfact_cache, a, s, _CONST_TABLE_MAX, _UNIT_SEED)
     return s
 
 

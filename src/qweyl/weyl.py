@@ -244,7 +244,10 @@ class WeylElement:
             s = scalars.from_int(s)
         if s.is_zero:
             return WeylElement(self.variant, {})
-        return WeylElement(self.variant, {m: c * s for m, c in self.terms.items()})
+        one = scalars.ONE
+        return WeylElement(
+            self.variant, {m: s if c is one else c * s for m, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, scalars.QScalar)):
@@ -366,8 +369,13 @@ class EndoSpec:
         v = self.variant
         if self.bar_twist:
             coeff = coeff.bar()
-        acc = WeylElement.unit(v, coeff)
-        seq = reversed(word) if self.antimultiplicative else word
+        if not word:
+            return WeylElement.unit(v, coeff)
+        # start from the first image: a unit left factor costs a product per word
+        seq = iter(reversed(word) if self.antimultiplicative else word)
+        acc = self.image(next(seq))
+        if coeff is not scalars.ONE:
+            acc = acc.scale(coeff)
         for letter in seq:
             acc = acc * self.image(letter)
         return acc

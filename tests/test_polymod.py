@@ -1,11 +1,13 @@
+import random
+
 import pytest
 
-from qweyl import polymod, scalars
+from qweyl import iqg, polymod, satake, scalars
 from qweyl.polymod import PolyElement, act, act_letter, act_word, grid, tcal
 from qweyl.report import FAIL, PASS, SKIP
 from qweyl.satake import Variant
 from qweyl.scalars import qint, qpow
-from qweyl.weyl import reduce_word
+from qweyl.weyl import generator_letters, reduce_word
 
 J1 = Variant("jmath", 1)
 J2 = Variant("jmath", 2)
@@ -207,3 +209,103 @@ def test_iu_module_detects_wrong_tau():
         if mismatch:
             break
     assert mismatch
+
+
+def test_act_letter_validates_the_letter():
+    f = mono(J1, (1, 2))
+    # index 0 would reach the last position through p = -1
+    with pytest.raises(ValueError, match="index out of range"):
+        act_letter(J1, "x", 0, f)
+    with pytest.raises(ValueError, match="index out of range"):
+        act_letter(J1, "x", 5, f)
+    # the zero polynomial has no terms to reach the letter dispatch
+    with pytest.raises(ValueError, match="unknown generator"):
+        act_letter(J1, "y", 1, PolyElement(J1, {}))
+
+
+def test_variant_checks_survive_identity_short_circuit():
+    twin = Variant("jmath", 1)  # equal to J1, another object
+    assert twin is not J1
+    f = mono(twin, (1, 2))
+    assert act_letter(J1, "x", 1, f) == mono(J1, (2, 2))
+    assert act(J1, reduce_word(J1, (("x", 1),)), f) == mono(J1, (2, 2))
+    assert tcal(J1, 1, 1, "prime", f) == tcal(twin, 1, 1, "prime", mono(J1, (1, 2)))
+    assert f + mono(J1, (1, 2)) == mono(J1, (1, 2), scalars.from_int(2))
+    g = mono(I1, (1, 2))
+    mismatches = (
+        lambda: act_letter(J1, "x", 1, g),
+        lambda: act(J1, reduce_word(J1, ()), g),
+        lambda: act(J1, reduce_word(I1, ()), f),
+        lambda: tcal(J1, 1, 1, "prime", g),
+        lambda: f + g,
+    )
+    for call in mismatches:
+        with pytest.raises(ValueError, match="variant mismatch"):
+            call()
+
+
+def _tcal_calls_per_check(monkeypatch):
+    """Patch polymod.tcal to count calls, and attribute them to check ids."""
+    calls = [0]
+    real_tcal = polymod.tcal
+
+    def counted(*args):
+        calls[0] += 1
+        return real_tcal(*args)
+
+    per_check = {}
+
+    def attributing(real):
+        def check(cid, description, instances):
+            start = calls[0]
+            out = real(cid, description, instances)
+            per_check[cid] = calls[0] - start
+            return out
+
+        return check
+
+    monkeypatch.setattr(polymod, "tcal", counted)
+    for mod in (polymod, satake):
+        monkeypatch.setattr(mod, "aggregate_check", attributing(mod.aggregate_check))
+    return per_check
+
+
+def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
+    per_check = _tcal_calls_per_check(monkeypatch)
+    v, bound = J2, 1
+    points = (bound + 1) ** (v.rank + 1)
+    checks = polymod.check_tcal_suite(v, 1, bound)
+    assert all(c.status in (PASS, SKIP) for c in checks)
+    # per intertwine check: tcal after each (letter, point), and one tcal
+    # image per point that every letter reuses
+    n_letters = len(generator_letters(v))
+    intertwine = {c: n for c, n in per_check.items() if c.startswith("tcal/intertwine/")}
+    assert len(intertwine) == 4
+    assert set(intertwine.values()) == {(n_letters + 1) * points}
+    # the relation checks compose tcal word by word through the same name
+    assert per_check["tcal/inverse/doubleprime-after-prime/i=1"] == 2 * points
+    assert per_check["tcal/braid/4-term/prime/i=2"] == 8 * points
+
+    per_check.clear()
+    checks = polymod.check_iu_module(v, -1, bound)
+    assert all(c.status == PASS for c in checks)
+    n_letters = len(iqg.iqg_letters(v))
+    assert len(per_check) == 4
+    assert set(per_check.values()) == {(n_letters + 1) * points}
+
+
+def test_action_tables_are_bounded(monkeypatch):
+    cap = 4
+    monkeypatch.setattr(polymod, "_ACT_CACHE_MAX", cap)
+    monkeypatch.setattr(polymod, "_ACT_CACHE", {})
+    monkeypatch.setattr(polymod, "_support_of", {})
+    rng = random.Random(5)
+    letters = generator_letters(J2)
+    for _ in range(30):
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        elem = reduce_word(J2, word)
+        for a in grid(J2, 2):
+            f = mono(J2, a, qpow(1))
+            assert act(J2, elem, f) == act_word(J2, word, f)
+            assert all(len(t) <= cap for t in polymod._ACT_CACHE.values())
+            assert len(polymod._support_of) <= cap

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import qweyl
+from qweyl import scalars
 from qweyl.scalars import (
     ONE,
     ZERO,
@@ -388,3 +389,40 @@ def test_lcm_of_shapes_matches_gcd_formula():
             b = p_neg(b)
         want = p_mul(a, p_div_exact(b, p_gcd(a, b)))
         assert p_lcm(a, b) == want
+
+
+def test_constant_tables_are_bounded(monkeypatch):
+    cap = 5
+    monkeypatch.setattr(scalars, "_CONST_TABLE_MAX", cap)
+    tables = {
+        "_int_cache": scalars._INT_SEED,
+        "_qpow_cache": scalars._UNIT_SEED,
+        "_qint_cache": {},
+        "_qfact_cache": scalars._UNIT_SEED,
+        "_qdfact_cache": scalars._UNIT_SEED,
+    }
+    for name, seed in tables.items():
+        monkeypatch.setattr(scalars, name, dict(seed))
+
+    def sizes_ok():
+        return all(len(getattr(scalars, name)) <= cap for name in tables)
+
+    for k in range(-12, 13):
+        expected = QScalar((0,) * k + (1,)) if k >= 0 else QScalar((1,), (0,) * -k + (1,))
+        assert qpow(k) == expected
+        assert from_int(3 * k) == QScalar(3 * k)
+        assert qint(k) == (qpow(k) - qpow(-k)) / (qpow(1) - qpow(-1))
+        assert sizes_ok()
+    # 25 keys each went through tables of 5 entries, so every table started
+    # over more than once, and the seeds came back each time
+    assert qpow(0) is ONE
+    assert from_int(0) is ZERO and from_int(1) is ONE
+    assert from_int(-1) is scalars.MINUS_ONE
+    for _ in range(2):
+        fact = dfact = ONE
+        for n in range(1, 10):
+            fact = fact * qint(n)
+            dfact = dfact * qint(2 * n)
+            assert qfact(n) == fact and qdoublefact(n) == dfact
+            assert sizes_ok()
+    assert qfact(0) is ONE and qdoublefact(0) is ONE

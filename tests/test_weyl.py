@@ -340,3 +340,31 @@ def test_product_table_is_bounded(monkeypatch):
     assert max(sizes) <= 8
     # the table filled up and started over, more than once
     assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 1
+
+
+def test_word_images_start_from_the_scaled_first_image():
+    # a word maps to coeff (bar-twisted if asked) times the product of its
+    # letter images, reversed if antimultiplicative; the empty word to coeff
+    rng = random.Random(2718)
+    for v in (J1, I2):
+        letters = generator_letters(v)
+        flip = {}
+        for i in v.weyl_indices:
+            flip[("x", i)] = gen(v, "d", i) + gen(v, "m", i)
+            flip[("d", i)] = gen(v, "x", i).scale(qpow(1))
+            flip[("m", i)] = gen(v, "mi", i)
+            flip[("mi", i)] = gen(v, "m", i)
+        specs = (
+            braid_op(v, 1, 1, "prime"),
+            EndoSpec(v, flip, antimultiplicative=True, bar_twist=True),
+        )
+        for spec in specs:
+            for coeff in (scalars.ONE, qpow(2), QD * from_int(-3)):
+                for n in range(4):
+                    word = tuple(rng.choice(letters) for _ in range(n))
+                    c = coeff.bar() if spec.bar_twist else coeff
+                    expected = WeylElement.unit(v, c)
+                    for letter in reversed(word) if spec.antimultiplicative else word:
+                        expected = expected * spec.image(letter)
+                    got = spec.apply_free(FreeExpr.word(word, coeff))
+                    assert got == expected, (spec.label, word, coeff)
