@@ -3,11 +3,26 @@
 A letter is a (name, index) pair; a word is a tuple of letters.  An
 expression keeps a dict word -> coefficient with like words collected and
 zero coefficients dropped.  No rewriting happens here: this is the layer on
-which substitution operators act before anything is reduced.
+which substitution operators act before anything is reduced.  Every term
+type of the package, free, Weyl or polynomial, collects through acc.
 """
 
 from . import scalars
 from .scalars import QScalar
+
+
+def acc(out, key, coeff):
+    """Add coeff into the dict of terms out at key; a sum that cancels drops the key."""
+    s = out.get(key)
+    if s is None:
+        if not coeff.is_zero:
+            out[key] = coeff
+    else:
+        s = s + coeff
+        if s.is_zero:
+            del out[key]
+        else:
+            out[key] = s
 
 
 class FreeExpr:
@@ -69,15 +84,7 @@ class FreeExpr:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w)
-            if acc is None:
-                out[w] = c
-            else:
-                acc = acc + c
-                if acc.is_zero:
-                    del out[w]
-                else:
-                    out[w] = acc
+            acc(out, w, c)
         return FreeExpr(out)
 
     __radd__ = __add__
@@ -100,18 +107,7 @@ class FreeExpr:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                acc = out.get(w)
-                if acc is None:
-                    if not c.is_zero:
-                        out[w] = c
-                else:
-                    acc = acc + c
-                    if acc.is_zero:
-                        del out[w]
-                    else:
-                        out[w] = acc
+                acc(out, w1 + w2, c1 * c2)
         return FreeExpr(out)
 
     def __rmul__(self, other):

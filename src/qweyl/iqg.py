@@ -118,36 +118,17 @@ def phi(v, expr):
     return phi_spec(v).apply_free(expr)
 
 
-class ISubst:
+class ISubst(EndoSpec):
     """A substitution on B/K letters with free-expression images."""
 
-    __slots__ = ("variant", "images", "antimultiplicative", "bar_twist", "label")
+    __slots__ = ()
 
-    def __init__(self, variant, images, antimultiplicative=False, bar_twist=False, label=""):
-        self.variant = variant
-        self.images = images
-        self.antimultiplicative = antimultiplicative
-        self.bar_twist = bar_twist
-        self.label = label
-
-    def image(self, letter):
-        img = self.images.get(letter)
-        if img is None:
-            raise ValueError("no image for letter %s%d" % letter)
-        return img
+    def _unit(self, coeff):
+        return FreeExpr.from_scalar(coeff)
 
     def apply(self, expr):
         """Free composition: substitute every letter, reverse words if anti."""
-        out = FreeExpr.zero()
-        for word, coeff in expr.terms.items():
-            if self.bar_twist:
-                coeff = coeff.bar()
-            acc = FreeExpr.from_scalar(coeff)
-            seq = reversed(word) if self.antimultiplicative else word
-            for letter in seq:
-                acc = acc * self.image(letter)
-            out = out + acc
-        return out
+        return FreeExpr(self._collect(expr.terms.items()))
 
 
 def fuse(h, s, label=""):

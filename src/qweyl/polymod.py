@@ -7,11 +7,12 @@ suites drive every module-level identity over the full grid of
 monomials with entries bounded by a degree parameter.
 """
 
+import functools
 import itertools
 import random
 
 from . import iqg, operators, scalars
-from .expressions import letter_tag
+from .expressions import acc, letter_tag
 from .report import aggregate_check
 from .satake import BRAID_KINDS as TCAL_KINDS
 from .satake import braid_relation_checks
@@ -63,9 +64,7 @@ class PolyElement:
 
     def _coerce(self, other):
         if isinstance(other, PolyElement):
-            # identity first, here and below: Variant.__eq__ is a Python call
-            if other.variant is not self.variant and other.variant != self.variant:
-                raise ValueError("variant mismatch")
+            self.variant.check_variant(other.variant)
             return other
         if isinstance(other, (int, scalars.QScalar)):
             c = scalars.from_int(other) if isinstance(other, int) else other
@@ -78,9 +77,6 @@ class PolyElement:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.variant, frozenset(self.terms.items())))
-
     def __neg__(self):
         return PolyElement(self.variant, {a: -c for a, c in self.terms.items()})
 
@@ -90,12 +86,7 @@ class PolyElement:
             return NotImplemented
         out = dict(self.terms)
         for a, c in other.terms.items():
-            s = out.get(a)
-            s = c if s is None else s + c
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
+            acc(out, a, c)
         return PolyElement(self.variant, out)
 
     def __radd__(self, other):
@@ -126,13 +117,7 @@ class PolyElement:
         out = {}
         for a, c in self.terms.items():
             for b, d in other.terms.items():
-                ab = tuple(x + y for x, y in zip(a, b))
-                s = out.get(ab)
-                s = c * d if s is None else s + c * d
-                if s:
-                    out[ab] = s
-                else:
-                    out.pop(ab, None)
+                acc(out, tuple(x + y for x, y in zip(a, b)), c * d)
         return PolyElement(self.variant, out)
 
     def __rmul__(self, other):
@@ -161,8 +146,7 @@ class PolyElement:
 def act_letter(v, name, idx, poly):
     """One generator letter applied to a polynomial."""
     validate_letter(v, name, idx)
-    if poly.variant is not v and poly.variant != v:
-        raise ValueError("variant mismatch")
+    v.check_variant(poly.variant)
     k = v.kappa(idx)
     p = idx - 1
     out = {}
@@ -178,12 +162,7 @@ def act_letter(v, name, idx, poly):
             c = c * qpow(k * a[p])
         else:  # "mi"
             c = c * qpow(-k * a[p])
-        s = out.get(a)
-        s = c if s is None else s + c
-        if s:
-            out[a] = s
-        else:
-            out.pop(a, None)
+        acc(out, a, c)
     return PolyElement(v, out)
 
 
@@ -227,9 +206,8 @@ def _mono_image(v, mono, support, sub):
 
 def act(v, elem, poly):
     """A Weyl-algebra element applied to a polynomial."""
-    for x in (elem, poly):
-        if x.variant is not v and x.variant != v:
-            raise ValueError("variant mismatch")
+    v.check_variant(elem.variant)
+    v.check_variant(poly.variant)
     vkey = (v.kind, v.rank)
     cache = _ACT_CACHE.get(vkey)
     if cache is None:
@@ -260,12 +238,7 @@ def act(v, elem, poly):
                 w = c * w
             if mc is not one:
                 w = mc * w
-            s = out.get(b)
-            s = w if s is None else s + w
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
+            acc(out, b, w)
     return PolyElement(v, out)
 
 
@@ -293,8 +266,7 @@ def _tcal_point(v, i, e, kind, a):
 def tcal(v, i, e, kind, poly):
     """The braid operator on polynomials with subscripts i and e."""
     v.check_braid_args(i, e, kind)
-    if poly.variant is not v and poly.variant != v:
-        raise ValueError("variant mismatch")
+    v.check_variant(poly.variant)
     out = {}
     for a, c in poly.terms.items():
         sign, k, b = _tcal_point(v, i, e, kind, a)
@@ -303,12 +275,7 @@ def tcal(v, i, e, kind, poly):
             w = c * w
         if sign < 0:
             w = -w
-        s = out.get(b)
-        s = w if s is None else s + w
-        if s:
-            out[b] = s
-        else:
-            out.pop(b, None)
+        acc(out, b, w)
     return PolyElement(v, out)
 
 
@@ -321,6 +288,20 @@ def _grid_monos(v, bound):
     """(a, X^a) over the grid; built directly, a grid point needs no checks."""
     one = scalars.ONE
     return [(a, PolyElement(v, {a: one})) for a in grid(v, bound)]
+
+
+def _intertwine_instances(v, i, e, kind, monos, sides):
+    """tcal(left(X^a)) against act(right, tcal(X^a)), side by side, point by point.
+
+    sides lists (tag, left, right): left maps a polynomial to a polynomial
+    and right is a Weyl element.  The tcal image of each grid monomial is
+    taken once and serves every side.
+    """
+    tcal_monos = [tcal(v, i, e, kind, m) for _, m in monos]
+    for tag, left, right in sides:
+        for (a, m), tm in zip(monos, tcal_monos):
+            lhs = tcal(v, i, e, kind, left(m))
+            yield "%s on X^%s" % (tag, (a,)), lhs, act(v, right, tm)
 
 
 def check_module_homomorphism(v, bound):
@@ -388,29 +369,21 @@ _TCAL_TEXT = {
 def check_tcal_suite(v, e, bound):
     """Intertwining with the algebra braid action, inverses, braid moves."""
     checks = []
-    letters = generator_letters(v)
     monos = _grid_monos(v, bound)
-
-    def intertwine(t_op, tc_i, tc_e, tc_kind):
-        # the tcal image of each grid monomial serves every letter
-        tcal_monos = [tcal(v, tc_i, tc_e, tc_kind, m) for _, m in monos]
-        for name, idx in letters:
-            img = t_op.images[(name, idx)]
-            tag = letter_tag((name, idx))
-            for (a, m), tm in zip(monos, tcal_monos):
-                lhs = tcal(v, tc_i, tc_e, tc_kind, act_letter(v, name, idx, m))
-                rhs = act(v, img, tm)
-                yield "%s on X^%s" % (tag, (a,)), lhs, rhs
-
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
             t_op = operators.braid_op(v, i, e, kind)
+            # letter by letter on the tcal side: the independent reference
+            sides = [
+                (letter_tag(l), functools.partial(act_letter, v, *l), t_op.images[l])
+                for l in generator_letters(v)
+            ]
             checks.append(
                 aggregate_check(
                     "tcal/intertwine/%s/i=%d" % (kind, i),
                     "moving a generator across the polynomial braid operator"
                     " matches %s" % t_op.label,
-                    intertwine(t_op, i, e, kind),
+                    _intertwine_instances(v, i, e, kind, monos, sides),
                 )
             )
 
@@ -442,24 +415,20 @@ def check_iu_module(v, e, bound):
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
             s = iqg.tau_subst(v, i, e, kind)
-            moved = {u: ph.apply_free(s.image(u)) for u in letters}
-
-            def instances(i=i, kind=kind, moved=moved):
-                # the tcal image of each grid monomial serves every letter
-                tcal_monos = [tcal(v, i, e, kind, m) for _, m in monos]
-                for u in letters:
-                    phi_u, moved_u, tag = ph.image(u), moved[u], letter_tag(u)
-                    for (a, m), tm in zip(monos, tcal_monos):
-                        lhs = tcal(v, i, e, kind, act(v, phi_u, m))
-                        rhs = act(v, moved_u, tm)
-                        yield "%s on X^%s" % (tag, (a,)), lhs, rhs
-
+            sides = [
+                (
+                    letter_tag(u),
+                    functools.partial(act, v, ph.image(u)),
+                    ph.apply_free(s.image(u)),
+                )
+                for u in letters
+            ]
             checks.append(
                 aggregate_check(
                     "iu-module/%s/i=%d" % (kind, i),
                     "the coideal letters move across tcal through their tau"
                     " images (kind %s, i=%d)" % (kind, i),
-                    instances(),
+                    _intertwine_instances(v, i, e, kind, monos, sides),
                 )
             )
     return checks

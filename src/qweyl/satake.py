@@ -68,6 +68,15 @@ class Variant:
                 "braid index out of range: i=%d (range 1..%d)" % (i, self.bmax)
             )
 
+    def check_variant(self, other):
+        """Raise ValueError unless the variant other is this one.
+
+        Identity first: __eq__ is a Python call, and operands almost always
+        share one Variant object.
+        """
+        if other is not self and other != self:
+            raise ValueError("variant mismatch")
+
     def k_legal(self, i):
         """Whether the letter K_i exists: rho must move node i."""
         return 1 <= i <= self.n and self.rho(i) != i

@@ -12,7 +12,7 @@ min(xexp, dexp) = 0 and mexp in Z; an element maps monomials to scalars.
 """
 
 from . import scalars
-from .expressions import FreeExpr
+from .expressions import FreeExpr, acc
 from .report import equality_check
 from .scalars import qpow
 
@@ -52,19 +52,6 @@ def _set_triple(mono, p, triple):
     return mono[:p] + (triple,) + mono[p + 1 :]
 
 
-def _acc(out, mono, coeff):
-    acc = out.get(mono)
-    if acc is None:
-        if not coeff.is_zero:
-            out[mono] = coeff
-    else:
-        acc = acc + coeff
-        if acc.is_zero:
-            del out[mono]
-        else:
-            out[mono] = acc
-
-
 def _append_right(v, terms, name, idx):
     """All monomials multiplied by one letter on the right."""
     p = idx - 1
@@ -73,28 +60,28 @@ def _append_right(v, terms, name, idx):
         s = 1 if name == "m" else -1
         for mono, coeff in terms.items():
             a, b, c = mono[p]
-            _acc(out, _set_triple(mono, p, (a, b, c + s)), coeff)
+            acc(out, _set_triple(mono, p, (a, b, c + s)), coeff)
         return out
     k = v.kappa(idx)
     if name == "x":
         for mono, coeff in terms.items():
             a, b, c = mono[p]
             if b == 0:
-                _acc(out, _set_triple(mono, p, (a + 1, 0, c)), coeff * qpow(k * c))
+                acc(out, _set_triple(mono, p, (a + 1, 0, c)), coeff * qpow(k * c))
             else:
                 f = coeff * _QD
-                _acc(out, _set_triple(mono, p, (a, b - 1, c + 1)), f * qpow(k * (c + 1)))
-                _acc(out, _set_triple(mono, p, (a, b - 1, c - 1)), -f * qpow(k * (c - 1)))
+                acc(out, _set_triple(mono, p, (a, b - 1, c + 1)), f * qpow(k * (c + 1)))
+                acc(out, _set_triple(mono, p, (a, b - 1, c - 1)), -f * qpow(k * (c - 1)))
         return out
     if name == "d":
         for mono, coeff in terms.items():
             a, b, c = mono[p]
             if a == 0:
-                _acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff * qpow(-k * c))
+                acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff * qpow(-k * c))
             else:
                 f = coeff * qpow(-k * c) * _QD
-                _acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f)
-                _acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f)
+                acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f)
+                acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f)
         return out
     raise ValueError("unknown generator '%s%s'" % (name, idx))
 
@@ -108,28 +95,28 @@ def _append_left(v, terms, name, idx):
         k = v.kappa(idx)
         for mono, coeff in terms.items():
             a, b, c = mono[p]
-            _acc(out, _set_triple(mono, p, (a, b, c + s)), coeff * qpow(s * k * (a - b)))
+            acc(out, _set_triple(mono, p, (a, b, c + s)), coeff * qpow(s * k * (a - b)))
         return out
     k = v.kappa(idx)
     if name == "x":
         for mono, coeff in terms.items():
             a, b, c = mono[p]
             if b == 0:
-                _acc(out, _set_triple(mono, p, (a + 1, 0, c)), coeff)
+                acc(out, _set_triple(mono, p, (a + 1, 0, c)), coeff)
             else:
                 f = coeff * _QD
-                _acc(out, _set_triple(mono, p, (0, b - 1, c + 1)), f * qpow(-k * (b - 1)))
-                _acc(out, _set_triple(mono, p, (0, b - 1, c - 1)), -f * qpow(k * (b - 1)))
+                acc(out, _set_triple(mono, p, (0, b - 1, c + 1)), f * qpow(-k * (b - 1)))
+                acc(out, _set_triple(mono, p, (0, b - 1, c - 1)), -f * qpow(k * (b - 1)))
         return out
     if name == "d":
         for mono, coeff in terms.items():
             a, b, c = mono[p]
             if a == 0:
-                _acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff)
+                acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff)
             else:
                 f = coeff * _QD
-                _acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f * qpow(k * a))
-                _acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f * qpow(-k * a))
+                acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f * qpow(k * a))
+                acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f * qpow(-k * a))
         return out
     raise ValueError("unknown generator '%s%s'" % (name, idx))
 
@@ -225,7 +212,7 @@ class WeylElement:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            _acc(out, m, c)
+            acc(out, m, c)
         return WeylElement(self.variant, out)
 
     __radd__ = __add__
@@ -255,8 +242,7 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         v = self.variant
-        if v is not other.variant and v != other.variant:
-            raise ValueError("variant mismatch")
+        v.check_variant(other.variant)
         one = scalars.ONE
         out = {}
         for mono2, c2 in other.terms.items():
@@ -281,7 +267,7 @@ class WeylElement:
                             for t, s in pairs
                         ]
                 for m, c in partial:
-                    _acc(out, tuple(m), c)
+                    acc(out, tuple(m), c)
         return WeylElement(v, out)
 
     def __rmul__(self, other):
@@ -299,8 +285,7 @@ class WeylElement:
 
     def _coerce(self, other):
         if isinstance(other, WeylElement):
-            if self.variant != other.variant:
-                raise ValueError("variant mismatch")
+            self.variant.check_variant(other.variant)
             return other
         if isinstance(other, (int, scalars.QScalar)):
             return WeylElement.unit(self.variant, other)
@@ -339,7 +324,7 @@ def reduce_expr(v, expr, strategy="left"):
     out = {}
     for word, c in expr.terms.items():
         for m, s in reduce_word(v, word, c, strategy).terms.items():
-            _acc(out, m, s)
+            acc(out, m, s)
     return WeylElement(v, out)
 
 
@@ -348,6 +333,9 @@ class EndoSpec:
 
     direction "antimultiplicative" reverses each word before multiplying the
     images; coeff_twist "bar" sends every coefficient through q -> q^-1.
+    The word walk and the term collection serve any image algebra whose
+    elements have terms, scale and *; a subclass with other images
+    overrides _unit (iqg.ISubst maps into free expressions).
     """
 
     __slots__ = ("variant", "images", "antimultiplicative", "bar_twist", "label")
@@ -365,39 +353,42 @@ class EndoSpec:
             raise ValueError("no image for letter %s%d" % letter)
         return img
 
+    def _unit(self, coeff):
+        """The image of the empty word with coefficient coeff."""
+        return WeylElement.unit(self.variant, coeff)
+
     def _word_image(self, word, coeff):
-        v = self.variant
         if self.bar_twist:
             coeff = coeff.bar()
         if not word:
-            return WeylElement.unit(v, coeff)
+            return self._unit(coeff)
         # start from the first image: a unit left factor costs a product per word
         seq = iter(reversed(word) if self.antimultiplicative else word)
-        acc = self.image(next(seq))
+        img = self.image(next(seq))
         if coeff is not scalars.ONE:
-            acc = acc.scale(coeff)
+            img = img.scale(coeff)
         for letter in seq:
-            acc = acc * self.image(letter)
-        return acc
+            img = img * self.image(letter)
+        return img
+
+    def _collect(self, pairs):
+        """The terms of the sum of the images of (word, coeff) pairs."""
+        out = {}
+        for word, coeff in pairs:
+            for key, c in self._word_image(word, coeff).terms.items():
+                acc(out, key, c)
+        return out
 
     def apply(self, elem):
         """Image of a canonical element under the substitution."""
         v = self.variant
-        if elem.variant != v:
-            raise ValueError("variant mismatch")
-        out = {}
-        for mono, coeff in elem.terms.items():
-            for m, c in self._word_image(mono_word(mono), coeff).terms.items():
-                _acc(out, m, c)
-        return WeylElement(v, out)
+        v.check_variant(elem.variant)
+        pairs = ((mono_word(mono), coeff) for mono, coeff in elem.terms.items())
+        return WeylElement(v, self._collect(pairs))
 
     def apply_free(self, expr):
         """Image of a free expression, one side of a relation check."""
-        out = {}
-        for word, coeff in expr.terms.items():
-            for m, c in self._word_image(word, coeff).terms.items():
-                _acc(out, m, c)
-        return WeylElement(self.variant, out)
+        return WeylElement(self.variant, self._collect(expr.terms.items()))
 
 
 def identity_endo(v):

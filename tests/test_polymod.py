@@ -309,3 +309,11 @@ def test_action_tables_are_bounded(monkeypatch):
             assert act(J2, elem, f) == act_word(J2, word, f)
             assert all(len(t) <= cap for t in polymod._ACT_CACHE.values())
             assert len(polymod._support_of) <= cap
+
+
+def test_polynomials_are_unhashable():
+    # equal to the int 1 but hashing differently would break dict lookups
+    unit = PolyElement.unit(J2)
+    assert unit == 1
+    with pytest.raises(TypeError):
+        hash(unit)

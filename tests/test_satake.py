@@ -88,3 +88,12 @@ def test_relation_words_jmath_rank_1_are_skips_and_inverses():
         (((1, 1, "prime"), (1, -1, "doubleprime")), ()),
     ]
     assert len(checks) == len(skips) + 2
+
+
+def test_check_variant_accepts_equal_variants_only():
+    v = Variant("jmath", 2)
+    v.check_variant(v)
+    v.check_variant(Variant("jmath", 2))
+    for other in (Variant("imath", 2), Variant("jmath", 3), None):
+        with pytest.raises(ValueError, match="variant mismatch"):
+            v.check_variant(other)
