@@ -4,7 +4,8 @@ A letter is a (name, index) pair; a word is a tuple of letters.  An
 expression keeps a dict word -> coefficient with like words collected and
 zero coefficients dropped.  No rewriting happens here: this is the layer on
 which substitution operators act before anything is reduced.  Every term
-type of the package, free, Weyl or polynomial, collects through acc.
+type of the package, free, Weyl or polynomial, collects through acc and
+shares the contract of Terms.
 """
 
 from . import scalars
@@ -25,11 +26,71 @@ def acc(out, key, coeff):
             out[key] = s
 
 
-class FreeExpr:
+class Terms:
+    """A linear combination over Q(q): a dict key -> nonzero coefficient.
+
+    The contract of every term type: an element equals the scalar (int or
+    QScalar) its constant term carries, so no element is hashable, and
+    comparing or combining elements of two variants raises "variant
+    mismatch".  A subclass supplies _new(terms), an element of its own
+    variant, and _const_key(), the key of its constant term; its arithmetic
+    stays in its own class body.
+    """
+
+    __slots__ = ()
+
+    __hash__ = None
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def _coerce(self, other):
+        """other as an element of this variant, or None if it is no such thing."""
+        if isinstance(other, type(self)):
+            if other.variant is not self.variant:
+                self.variant.check_variant(other.variant)
+            return other
+        if isinstance(other, (int, QScalar)):
+            return self.constant(other)
+        return None
+
+    def constant(self, c):
+        """The element of this variant equal to the int or QScalar c."""
+        if isinstance(c, int):
+            c = scalars.from_int(c)
+        return self._new({} if c.is_zero else {self._const_key(): c})
+
+    def scalar_value(self):
+        """The scalar this element equals, or None if it is not a scalar."""
+        terms = self.terms
+        if not terms:
+            return scalars.ZERO
+        return terms.get(self._const_key()) if len(terms) == 1 else None
+
+
+class FreeExpr(Terms):
     __slots__ = ("terms",)
+
+    variant = None  # free expressions have no variant: they all combine
 
     def __init__(self, terms=None):
         self.terms = terms if terms is not None else {}
+
+    def _new(self, terms):
+        return FreeExpr(terms)
+
+    def _const_key(self):
+        return ()
 
     @staticmethod
     def zero():
@@ -41,11 +102,7 @@ class FreeExpr:
 
     @staticmethod
     def from_scalar(s):
-        if isinstance(s, int):
-            s = scalars.from_int(s)
-        if s.is_zero:
-            return FreeExpr({})
-        return FreeExpr({(): s})
+        return FreeExpr().constant(s)
 
     @staticmethod
     def letter(name, index):
@@ -59,28 +116,12 @@ class FreeExpr:
             return FreeExpr({})
         return FreeExpr({tuple(letters): coeff})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, FreeExpr):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __neg__(self):
         return FreeExpr({w: -c for w, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, QScalar)):
-            other = FreeExpr.from_scalar(other)
-        if not isinstance(other, FreeExpr):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -90,9 +131,8 @@ class FreeExpr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, QScalar)):
-            other = FreeExpr.from_scalar(other)
-        if not isinstance(other, FreeExpr):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -129,13 +169,6 @@ class FreeExpr:
         for _ in range(k):
             out = out * self
         return out
-
-    def scalar_value(self):
-        if not self.terms:
-            return scalars.ZERO
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        raise ValueError("expression is not a scalar")
 
     def letters_used(self):
         out = set()

@@ -11,13 +11,15 @@ letters B/K, polynomial letters X):
 
 Juxtaposition multiplies; '/' divides by a scalar-valued expression;
 negative exponents are only meaningful on the invertible letters m and
-K.  Rationals are spelled with '/', q-powers as q^k.
+K.  Rationals are spelled with '/', q-powers as q^k.  Scalars stay
+QScalars until they meet an element, and a scalar result is lifted into
+the context's term type through Terms.constant.
 """
 
 from . import iqg, scalars
 from .expressions import FreeExpr, qcomm
 from .polymod import PolyElement
-from .weyl import WeylElement, validate_letter
+from .weyl import WeylElement
 
 CONTEXTS = ("weyl", "iqg", "poly")
 
@@ -73,6 +75,14 @@ class _Parser:
         self.k = 0
         self.context = context
         self.variant = variant
+        # the zero of the context's term type lifts scalars through constant
+        if context == "weyl":
+            self.zero = WeylElement(variant)
+        elif context == "iqg":
+            self.zero = FreeExpr.zero()
+        else:
+            self.zero = PolyElement(variant, {})
+        self.gen_names = _GEN_NAMES[context]
 
     def peek(self):
         return self.tokens[self.k]
@@ -86,36 +96,9 @@ class _Parser:
         self.k += 1
         return tok
 
-    def unit(self):
-        if self.context == "weyl":
-            return WeylElement.unit(self.variant)
-        if self.context == "iqg":
-            return FreeExpr.one()
-        return PolyElement.unit(self.variant)
-
-    def from_scalar(self, c):
-        if self.context == "weyl":
-            return WeylElement.unit(self.variant).scale(c)
-        if self.context == "iqg":
-            return FreeExpr.from_scalar(c)
-        return PolyElement.unit(self.variant).scale(c)
-
-    def scalar_value(self, elem):
-        """The scalar an element equals, or None if it is not scalar."""
-        if isinstance(elem, scalars.QScalar):
-            return elem
-        if not elem.terms:
-            return scalars.ZERO
-        if len(elem.terms) != 1:
-            return None
-        ((key, c),) = elem.terms.items()
-        if self.context == "weyl":
-            trivial = all(t == (0, 0, 0) for t in key)
-        elif self.context == "iqg":
-            trivial = key == ()
-        else:
-            trivial = all(t == 0 for t in key)
-        return c if trivial else None
+    def lift(self, x):
+        """x as an element of the context's term type."""
+        return self.zero.constant(x) if isinstance(x, scalars.QScalar) else x
 
     def letter(self, name, idx, power, pos):
         """A single generator raised to an integer power."""
@@ -131,42 +114,27 @@ class _Parser:
             exps = [0] * (v.rank + 1)
             exps[idx - 1] = power
             return PolyElement.monomial(v, exps)
-        if self.context == "iqg":
-            base = name
-            if power < 0 and name == "K":
-                base = "Ki"
-            elif power < 0:
-                raise ParseError("negative power of B%d" % idx, pos)
-            try:
-                iqg.validate_iletter(v, base, idx)
-            except ValueError as err:
-                raise ParseError(str(err), pos) from None
-            out = FreeExpr.one()
-            for _ in range(abs(power)):
-                out = out * FreeExpr.letter(base, idx)
-            return out
         base = name
-        if power < 0 and name == "m":
-            base = "mi"
+        if power < 0 and name in ("m", "K"):
+            base = name + "i"
         elif power < 0:
             raise ParseError("negative power of %s%d" % (name, idx), pos)
         try:
-            validate_letter(v, base, idx)
+            if self.context == "iqg":
+                iqg.validate_iletter(v, base, idx)
+                gen = FreeExpr.letter(base, idx)
+            else:
+                gen = WeylElement.generator(v, base, idx)
         except ValueError as err:
             raise ParseError(str(err), pos) from None
-        out = WeylElement.unit(v)
-        for _ in range(abs(power)):
-            out = out * WeylElement.generator(v, base, idx)
-        return out
+        return gen ** abs(power)
 
     def parse(self):
         out = self.expr()
         tok = self.peek()
         if tok[0] != "END":
             raise ParseError("unexpected %r" % tok[1], tok[2])
-        if isinstance(out, scalars.QScalar):
-            out = self.from_scalar(out)
-        return out
+        return self.lift(out)
 
     def expr(self):
         negate = False
@@ -208,13 +176,9 @@ class _Parser:
             elif op == "*":
                 out = out * factor
             else:
-                c = self.scalar_value(factor)
-                if c is None:
-                    raise ParseError("division by a non-scalar expression", tok[2])
-                if not c:
-                    raise ParseError("division by zero", tok[2])
-                inv = c.inv()
-                out = out * inv if isinstance(out, scalars.QScalar) else out.scale(inv)
+                out = out * self.inverse(
+                    factor, "division by a non-scalar expression", tok[2]
+                )
 
     def factor(self):
         tok = self.peek()
@@ -225,19 +189,14 @@ class _Parser:
                 power = self.exponent(default=1)
                 return scalars.qpow(power)
             head, digits = name[0], name[1:]
-            if head not in _GEN_NAMES[self.context] or not digits:
+            if head not in self.gen_names or not digits:
                 raise ParseError("unknown generator '%s'" % name, pos)
             power = self.exponent(default=1)
             return self.letter(head, int(digits), power, pos)
         if tok[0] == "INT":
             self.take()
             c = scalars.from_int(int(tok[1]))
-            power = self.exponent(default=1)
-            if power < 0:
-                if not c:
-                    raise ParseError("division by zero", tok[2])
-                return c.inv() ** (-power)
-            return c ** power
+            return self.apply_power(c, self.exponent(default=1), tok[2])
         if tok[0] == "(":
             self.take()
             out = self.expr()
@@ -253,14 +212,7 @@ class _Parser:
             e = 1
             if self.peek()[0] in ("+", "-"):
                 e = 1 if self.take()[0] == "+" else -1
-            if isinstance(lhs, scalars.QScalar):
-                lhs = self.from_scalar(lhs)
-            if isinstance(rhs, scalars.QScalar):
-                rhs = self.from_scalar(rhs)
-            if self.context == "iqg":
-                out = qcomm(lhs, rhs, e)
-            else:
-                out = lhs * rhs - (rhs * lhs).scale(scalars.qpow(e))
+            out = qcomm(self.lift(lhs), self.lift(rhs), e)
             return self.apply_power(out, self.exponent(default=1), tok[2])
         raise ParseError(
             "expected an expression, found %r" % (tok[1] or "end of input"), tok[2]
@@ -269,20 +221,19 @@ class _Parser:
     def apply_power(self, out, power, pos):
         if power == 1:
             return out
-        if isinstance(out, scalars.QScalar):
-            if power < 0:
-                if not out:
-                    raise ParseError("division by zero", pos)
-                return out.inv() ** (-power)
-            return out ** power
         if power < 0:
-            c = self.scalar_value(out)
-            if c is None:
-                raise ParseError("negative power of a non-scalar expression", pos)
-            if not c:
-                raise ParseError("division by zero", pos)
-            return self.from_scalar(c.inv() ** (-power))
+            inv = self.inverse(out, "negative power of a non-scalar expression", pos)
+            return inv ** (-power)
         return out ** power
+
+    def inverse(self, x, non_scalar, pos):
+        """1/c for the scalar c that x equals; non_scalar is the error otherwise."""
+        c = self.lift(x).scalar_value()
+        if c is None:
+            raise ParseError(non_scalar, pos)
+        if not c:
+            raise ParseError("division by zero", pos)
+        return c.inv()
 
     def exponent(self, default):
         if self.peek()[0] != "^":

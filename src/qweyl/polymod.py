@@ -12,7 +12,7 @@ import itertools
 import random
 
 from . import iqg, operators, scalars
-from .expressions import acc, letter_tag
+from .expressions import Terms, acc, letter_tag
 from .report import aggregate_check
 from .satake import BRAID_KINDS as TCAL_KINDS
 from .satake import braid_relation_checks
@@ -29,7 +29,7 @@ def _exps_str(exps):
     return " ".join(parts)
 
 
-class PolyElement:
+class PolyElement(Terms):
     """A polynomial with coefficients in the rational functions of q."""
 
     __slots__ = ("variant", "terms")
@@ -38,9 +38,15 @@ class PolyElement:
         self.variant = variant
         self.terms = terms
 
+    def _new(self, terms):
+        return PolyElement(self.variant, terms)
+
+    def _const_key(self):
+        return (0,) * (self.variant.rank + 1)
+
     @staticmethod
     def unit(variant):
-        return PolyElement(variant, {(0,) * (variant.rank + 1): scalars.ONE})
+        return PolyElement(variant, {}).constant(scalars.ONE)
 
     @staticmethod
     def monomial(variant, exps, coeff=scalars.ONE):
@@ -55,27 +61,6 @@ class PolyElement:
         if not coeff:
             return PolyElement(variant, {})
         return PolyElement(variant, {exps: coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _coerce(self, other):
-        if isinstance(other, PolyElement):
-            self.variant.check_variant(other.variant)
-            return other
-        if isinstance(other, (int, scalars.QScalar)):
-            c = scalars.from_int(other) if isinstance(other, int) else other
-            return PolyElement.monomial(self.variant, (0,) * (self.variant.rank + 1), c)
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
 
     def __neg__(self):
         return PolyElement(self.variant, {a: -c for a, c in self.terms.items()})

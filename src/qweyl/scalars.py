@@ -492,16 +492,13 @@ MINUS_ONE = QScalar._raw((-1,), P_ONE)
 
 # Tables of constants, bounded through remember.  The seeds come back after
 # every start-over: weyl compares ONE by identity, so qpow(0) and
-# from_int(0/1/-1) must return the module constants, and the factorials
-# recurse down to their entries at 0.
+# from_int(0/1/-1) must return the module constants.
 _CONST_TABLE_MAX = 1 << 14
 _INT_SEED = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 _UNIT_SEED = {0: ONE}
 _int_cache = dict(_INT_SEED)
 _qpow_cache = dict(_UNIT_SEED)
 _qint_cache = {}
-_qfact_cache = dict(_UNIT_SEED)
-_qdfact_cache = dict(_UNIT_SEED)
 
 
 def from_int(c):
@@ -548,10 +545,9 @@ def qfact(n):
     """[n]! = [n][n-1]...[1]."""
     if n < 0:
         raise ValueError("negative factorial")
-    s = _qfact_cache.get(n)
-    if s is None:
-        s = qfact(n - 1) * qint(n)
-        remember(_qfact_cache, n, s, _CONST_TABLE_MAX, _UNIT_SEED)
+    s = ONE
+    for k in range(1, n + 1):
+        s = s * qint(k)
     return s
 
 
@@ -559,10 +555,9 @@ def qdoublefact(a):
     """[2a]!! = [2a][2a-2]...[2]."""
     if a < 0:
         raise ValueError("negative factorial")
-    s = _qdfact_cache.get(a)
-    if s is None:
-        s = qdoublefact(a - 1) * qint(2 * a)
-        remember(_qdfact_cache, a, s, _CONST_TABLE_MAX, _UNIT_SEED)
+    s = ONE
+    for k in range(1, a + 1):
+        s = s * qint(2 * k)
     return s
 
 

@@ -12,7 +12,7 @@ min(xexp, dexp) = 0 and mexp in Z; an element maps monomials to scalars.
 """
 
 from . import scalars
-from .expressions import FreeExpr, acc
+from .expressions import FreeExpr, Terms, acc, letter_tag
 from .report import equality_check
 from .scalars import qpow
 
@@ -172,15 +172,23 @@ def _mono_str(mono):
     return " ".join(bits)
 
 
-class WeylElement:
+class WeylElement(Terms):
     __slots__ = ("variant", "terms")
 
     def __init__(self, variant, terms=None):
         self.variant = variant
         self.terms = terms if terms is not None else {}
 
+    def _new(self, terms):
+        return WeylElement(self.variant, terms)
+
+    def _const_key(self):
+        return unit_mono(self.variant)
+
     @staticmethod
     def unit(v, coeff=scalars.ONE):
+        # built directly rather than through constant: __pow__ starts from
+        # it, once per generator the parser reads
         if isinstance(coeff, int):
             coeff = scalars.from_int(coeff)
         if coeff.is_zero:
@@ -190,18 +198,6 @@ class WeylElement:
     @staticmethod
     def generator(v, name, idx):
         return WeylElement(v, {letter_mono(v, name, idx): scalars.ONE})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, WeylElement):
-            return self.variant == other.variant and self.terms == other.terms
-        return NotImplemented
 
     def __neg__(self):
         return WeylElement(self.variant, {m: -c for m, c in self.terms.items()})
@@ -282,14 +278,6 @@ class WeylElement:
         for _ in range(k):
             out = out * self
         return out
-
-    def _coerce(self, other):
-        if isinstance(other, WeylElement):
-            self.variant.check_variant(other.variant)
-            return other
-        if isinstance(other, (int, scalars.QScalar)):
-            return WeylElement.unit(self.variant, other)
-        return None
 
     def __str__(self):
         monos = sorted(self.terms, reverse=True)
@@ -416,38 +404,18 @@ def relation_instances(v):
         d, x = L("d", i), L("x", i)
         rels.append(("minv/i=%d" % i, "m%d m%d^-1 = 1" % (i, i), m * mi, one))
         rels.append(("minv-rev/i=%d" % i, "m%d^-1 m%d = 1" % (i, i), mi * m, one))
-        rels.append(
-            (
-                "dm/i=%d" % i,
-                "d%d m%d = q^%d m%d d%d" % (i, i, k, i, i),
-                d * m,
-                (m * d).scale(qpow(k)),
-            )
-        )
-        rels.append(
-            (
-                "dmi/i=%d" % i,
-                "d%d m%d^-1 = q^%d m%d^-1 d%d" % (i, i, -k, i, i),
-                d * mi,
-                (mi * d).scale(qpow(-k)),
-            )
-        )
-        rels.append(
-            (
-                "xm/i=%d" % i,
-                "x%d m%d = q^%d m%d x%d" % (i, i, -k, i, i),
-                x * m,
-                (m * x).scale(qpow(k).inv()),
-            )
-        )
-        rels.append(
-            (
-                "xmi/i=%d" % i,
-                "x%d m%d^-1 = q^%d m%d^-1 x%d" % (i, i, k, i, i),
-                x * mi,
-                (mi * x).scale(qpow(k)),
-            )
-        )
+        for a, sa in (("d", 1), ("x", -1)):
+            for b, sb in (("m", 1), ("mi", -1)):
+                ta, tb = letter_tag((a, i)), letter_tag((b, i))
+                ex = sa * sb * k
+                rels.append(
+                    (
+                        "%s%s/i=%d" % (a, b, i),
+                        "%s %s = q^%d %s %s" % (ta, tb, ex, tb, ta),
+                        L(a, i) * L(b, i),
+                        (L(b, i) * L(a, i)).scale(qpow(ex)),
+                    )
+                )
         rels.append(
             (
                 "dx/i=%d" % i,

@@ -1,5 +1,7 @@
 """The shared accumulate and the term types built on it."""
 
+import pytest
+
 from qweyl import scalars
 from qweyl.expressions import FreeExpr, acc
 from qweyl.polymod import PolyElement, act
@@ -8,6 +10,11 @@ from qweyl.scalars import qpow
 from qweyl.weyl import WeylElement, unit_mono
 
 J2 = Variant("jmath", 2)
+I2 = Variant("imath", 2)
+
+
+def units(v):
+    return FreeExpr.one(), WeylElement.unit(v), PolyElement.unit(v)
 
 
 def test_acc_adds_and_drops_cancelled_keys():
@@ -49,3 +56,57 @@ def test_opposite_terms_on_one_key_cancel_in_every_term_type():
     assert act(J2, elem, PolyElement.monomial(J2, (2, 0, 0), one)) == PolyElement.monomial(
         J2, (2, 0, 0), qpow(2) - qpow(1)
     )
+
+
+def test_every_term_type_equals_the_scalar_of_its_constant_term():
+    c = qpow(1) + qpow(-1)
+    for unit in units(J2):
+        assert unit == 1 and 1 == unit
+        assert unit == scalars.ONE and scalars.ONE == unit
+        assert unit.scale(c) == c and c == unit.scale(c)
+        assert unit != 2 and unit != qpow(1)
+        assert unit - unit == 0
+        assert unit.constant(3) == 3 and unit.constant(3) == unit.scale(3)
+        assert unit.constant(0).terms == {}
+    assert FreeExpr.letter("B", 1) != 1
+    assert WeylElement.generator(J2, "m", 1) != 1
+    assert PolyElement.monomial(J2, (1, 0, 0)) != 1
+
+
+def test_no_term_type_is_hashable():
+    for unit in units(J2):
+        with pytest.raises(TypeError):
+            hash(unit)
+
+
+def test_comparing_elements_of_two_variants_raises():
+    assert WeylElement.unit(J2) == WeylElement.unit(Variant("jmath", 2))
+    assert PolyElement.unit(J2) == PolyElement.unit(Variant("jmath", 2))
+    with pytest.raises(ValueError, match="variant mismatch"):
+        WeylElement.unit(J2) == WeylElement.unit(I2)
+    with pytest.raises(ValueError, match="variant mismatch"):
+        PolyElement.unit(J2) == PolyElement.unit(I2)
+    # different term types are simply unequal
+    assert WeylElement.unit(J2) != PolyElement.unit(J2)
+    assert FreeExpr.one() != WeylElement.unit(J2)
+
+
+def test_is_zero_is_a_bool_property():
+    for unit in units(J2):
+        zero = unit - unit
+        assert unit.is_zero is False and zero.is_zero is True
+        assert bool(unit) and not zero
+
+
+def test_scalar_value():
+    c = qpow(2) - scalars.from_frac(1, 3)
+    gens = (
+        FreeExpr.letter("B", 1),
+        WeylElement.generator(J2, "m", 1),
+        PolyElement.monomial(J2, (1, 0, 0)),
+    )
+    for unit, gen in zip(units(J2), gens):
+        assert unit.scale(c).scalar_value() == c
+        assert (unit - unit).scalar_value() is scalars.ZERO
+        assert gen.scalar_value() is None
+        assert (unit + gen).scalar_value() is None

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qweyl import iqg, scalars
+from qweyl import iqg, parser, scalars
 from qweyl.expressions import FreeExpr
 from qweyl.parser import ParseError, parse
 from qweyl.polymod import PolyElement
@@ -52,6 +52,29 @@ def test_commutator_sugar():
     w = parse("[x1, d1]_-", "weyl", J2)
     x1, d1 = WeylElement.generator(J2, "x", 1), WeylElement.generator(J2, "d", 1)
     assert w == x1 * d1 - (d1 * x1).scale(qpow(-1))
+
+
+def test_commutators_go_through_qcomm_in_every_context(monkeypatch):
+    seen = []
+    qcomm = parser.qcomm
+
+    def spy(x, y, e):
+        seen.append((type(x), type(y), e))
+        return qcomm(x, y, e)
+
+    monkeypatch.setattr(parser, "qcomm", spy)
+    x1 = PolyElement.monomial(J2, (1, 0, 0))
+    x2 = PolyElement.monomial(J2, (0, 1, 0))
+    assert parse("[X1, X2]_-", "poly", J2) == x1 * x2 - (x2 * x1).scale(qpow(-1))
+    assert parse("[2, X1]_+", "poly", J2) == x1.scale(2 - 2 * qpow(1))
+    parse("[x1, d1]_-", "weyl", J2)
+    parse("[B1, B2]_+", "iqg", J2)
+    assert seen == [
+        (PolyElement, PolyElement, -1),
+        (PolyElement, PolyElement, 1),
+        (WeylElement, WeylElement, -1),
+        (FreeExpr, FreeExpr, 1),
+    ]
 
 
 def test_scalar_expressions_become_elements():

@@ -155,6 +155,26 @@ def test_qfact_and_doublefact():
         qdoublefact(-1)
 
 
+def test_factorials_do_not_recurse():
+    fact = dfact = ONE
+    for n in range(1, 61):
+        fact = fact * qint(n)
+    for a in range(1, 31):
+        dfact = dfact * qint(2 * a)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    # about 30 frames of headroom: enough for one product, far too few
+    # for a recursion through every factor
+    sys.setrecursionlimit(depth + 30)
+    try:
+        got = qfact(60), qdoublefact(30)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (fact, dfact)
+
+
 def _rand_poly(rng, allow_zero=True):
     n = rng.randint(0 if allow_zero else 1, 4)
     if n == 0:
@@ -398,8 +418,6 @@ def test_constant_tables_are_bounded(monkeypatch):
         "_int_cache": scalars._INT_SEED,
         "_qpow_cache": scalars._UNIT_SEED,
         "_qint_cache": {},
-        "_qfact_cache": scalars._UNIT_SEED,
-        "_qdfact_cache": scalars._UNIT_SEED,
     }
     for name, seed in tables.items():
         monkeypatch.setattr(scalars, name, dict(seed))
