@@ -98,7 +98,7 @@ class FreeExpr(Terms):
 
     @staticmethod
     def one():
-        return FreeExpr({(): scalars.ONE})
+        return FreeExpr().constant(scalars.ONE)
 
     @staticmethod
     def from_scalar(s):

@@ -21,9 +21,12 @@ from .expressions import FreeExpr, qcomm
 from .polymod import PolyElement
 from .weyl import WeylElement
 
-CONTEXTS = ("weyl", "iqg", "poly")
-
-_GEN_NAMES = {"weyl": "dxm", "iqg": "BK", "poly": "X"}
+# context -> (generator letters, the zero of its term type for a variant)
+_CONTEXTS = {
+    "weyl": ("dxm", WeylElement),
+    "iqg": ("BK", lambda v: FreeExpr()),
+    "poly": ("X", lambda v: PolyElement(v, {})),
+}
 
 # Largest |k| accepted in '^k'.  A power is expanded eagerly (q^k is a dense
 # tuple of k + 1 coefficients), so unbounded input could exhaust memory.
@@ -76,13 +79,8 @@ class _Parser:
         self.context = context
         self.variant = variant
         # the zero of the context's term type lifts scalars through constant
-        if context == "weyl":
-            self.zero = WeylElement(variant)
-        elif context == "iqg":
-            self.zero = FreeExpr.zero()
-        else:
-            self.zero = PolyElement(variant, {})
-        self.gen_names = _GEN_NAMES[context]
+        self.gen_names, zero = _CONTEXTS[context]
+        self.zero = zero(variant)
 
     def peek(self):
         return self.tokens[self.k]
@@ -251,6 +249,6 @@ class _Parser:
 
 def parse(text, context, variant):
     """Parse text into a WeylElement, FreeExpr, or PolyElement."""
-    if context not in CONTEXTS:
+    if context not in _CONTEXTS:
         raise ValueError("unknown context %r" % (context,))
     return _Parser(text, context, variant).parse()

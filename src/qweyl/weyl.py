@@ -187,13 +187,7 @@ class WeylElement(Terms):
 
     @staticmethod
     def unit(v, coeff=scalars.ONE):
-        # built directly rather than through constant: __pow__ starts from
-        # it, once per generator the parser reads
-        if isinstance(coeff, int):
-            coeff = scalars.from_int(coeff)
-        if coeff.is_zero:
-            return WeylElement(v, {})
-        return WeylElement(v, {unit_mono(v): coeff})
+        return WeylElement(v).constant(coeff)
 
     @staticmethod
     def generator(v, name, idx):
@@ -404,16 +398,16 @@ def relation_instances(v):
         d, x = L("d", i), L("x", i)
         rels.append(("minv/i=%d" % i, "m%d m%d^-1 = 1" % (i, i), m * mi, one))
         rels.append(("minv-rev/i=%d" % i, "m%d^-1 m%d = 1" % (i, i), mi * m, one))
-        for a, sa in (("d", 1), ("x", -1)):
-            for b, sb in (("m", 1), ("mi", -1)):
+        for a, sa, ga in (("d", 1, d), ("x", -1, x)):
+            for b, sb, gb in (("m", 1, m), ("mi", -1, mi)):
                 ta, tb = letter_tag((a, i)), letter_tag((b, i))
                 ex = sa * sb * k
                 rels.append(
                     (
                         "%s%s/i=%d" % (a, b, i),
                         "%s %s = q^%d %s %s" % (ta, tb, ex, tb, ta),
-                        L(a, i) * L(b, i),
-                        (L(b, i) * L(a, i)).scale(qpow(ex)),
+                        ga * gb,
+                        (gb * ga).scale(qpow(ex)),
                     )
                 )
         rels.append(
