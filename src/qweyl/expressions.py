@@ -165,8 +165,8 @@ class FreeExpr(Terms):
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a free expression")
-        out = FreeExpr.one()
-        for _ in range(k):
+        out = self if k else FreeExpr.one()
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -28,8 +28,9 @@ _CONTEXTS = {
     "poly": ("X", lambda v: PolyElement(v, {})),
 }
 
-# Largest |k| accepted in '^k'.  A power is expanded eagerly (q^k is a dense
-# tuple of k + 1 coefficients), so unbounded input could exhaust memory.
+# Largest |k| accepted in '^k'.  A power of a sum or of a letter is expanded
+# eagerly ((q+1)^k has k + 1 coefficients, x1^k is a product of k factors), so
+# unbounded input could exhaust memory.
 MAX_EXPONENT = 1000
 
 

@@ -113,8 +113,8 @@ class PolyElement(Terms):
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("negative power of a polynomial")
-        out = PolyElement.unit(self.variant)
-        for _ in range(k):
+        out = self if k else PolyElement.unit(self.variant)
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -1,10 +1,11 @@
 """Exact arithmetic in Q(q), the field of rational functions in q.
 
-A scalar is a reduced fraction num/den of integer polynomials, stored as
-dense coefficient tuples (index = power of q, no trailing zeros).  Canonical
-form: gcd(num, den) = 1 including integer content, den has positive leading
-coefficient, zero is ()/(1,).  Negative powers of q fold into whichever side
-of the fraction needs them, so Laurent expressions stay exact.
+A scalar is q^val * num/den: val is an int, and num and den are coprime
+integer polynomials stored as dense coefficient tuples (index = power of q,
+no trailing zeros), each with a nonzero constant term.  Canonical form:
+gcd(num, den) = 1 including integer content, den has positive leading
+coefficient, zero is q^0 * ()/(1,).  A power of q is the integer val alone,
+so products of q-powers and the bar involution cost O(1) in the exponent.
 """
 
 import math
@@ -149,9 +150,9 @@ def p_div_exact(a, b):
 
 
 # Denominator shapes.  The relations only ever divide by q^k and q - q^-1,
-# so almost every denominator is c*q^j*(q-1)^a*(q+1)^b, stored as the shape
-# (c, j, a, b).  Against such a denominator the gcd needs no polynomial
-# remainders: integer content, q-valuation, and divisibility by q -+ 1 read
+# and q^k lives in val, so almost every denominator is c*(q-1)^a*(q+1)^b,
+# stored as the shape (c, a, b).  Against such a denominator the gcd needs
+# no polynomial remainders: integer content and divisibility by q -+ 1 read
 # off n(1) and n(-1).  Both tables are bounded and start over when full.
 
 _SHAPE_TABLE_MAX = 2048
@@ -160,17 +161,14 @@ _shape_poly = {}  # shape -> denominator tuple
 _UNSEEN = object()
 
 
-def remember(table, key, value, cap, seed=None):
+def remember(table, key, value, cap):
     """table[key] = value in a table of at most cap entries.
 
-    A full table is emptied first and refilled from the dict seed, if one
-    is given: every other entry can be computed again, and starting over
-    needs no record of which entry is oldest.  cap must exceed len(seed).
+    A full table is emptied first: every entry can be computed again, and
+    starting over needs no record of which entry is oldest.
     """
     if len(table) >= cap:
         table.clear()
-        if seed:
-            table.update(seed)
     table[key] = value
 
 
@@ -193,9 +191,7 @@ def _at_minus_1(n):
     return sum(n[::2]) - sum(n[1::2])
 
 
-def _find_shape(d):
-    j = p_val(d)
-    p = d[j:]
+def _find_shape(p):
     c = p_content(p)
     if p[-1] < 0:
         c = -c
@@ -209,11 +205,11 @@ def _find_shape(d):
     while len(p) > 1 and not _at_minus_1(p):
         p = _div_q_plus_1(p)
         b += 1
-    return (c, j, a, b) if p == P_ONE else None
+    return (c, a, b) if p == P_ONE else None
 
 
 def _shape(d):
-    """(c, j, a, b) with d = c*q^j*(q-1)^a*(q+1)^b, or None."""
+    """(c, a, b) with d = c*(q-1)^a*(q+1)^b, or None."""
     s = _shape_of.get(d, _UNSEEN)
     if s is _UNSEEN:
         s = _find_shape(d)
@@ -225,36 +221,31 @@ def _from_shape(s):
     """The polynomial of a shape; registers its shape for _shape."""
     d = _shape_poly.get(s)
     if d is None:
-        c, j, a, b = s
-        d = P_ONE
+        c, a, b = s
+        d = (c,)
         for _ in range(a):
             d = p_mul(d, (-1, 1))
         for _ in range(b):
             d = p_mul(d, (1, 1))
-        d = p_shift(tuple(c * x for x in d), j)
         remember(_shape_poly, s, d, _SHAPE_TABLE_MAX)
         remember(_shape_of, d, s, _SHAPE_TABLE_MAX)
     return d
 
 
 def _cancel(n, d):
-    """(n/g, d/g) for g = p_gcd(n, d), n nonzero."""
+    """(n/g, d/g) for g = p_gcd(n, d), n nonzero, d(0) nonzero."""
     s = _shape(d)
     if s is None:
         g = p_gcd(n, d)
         if g == P_ONE:
             return n, d
         return p_div_exact(n, g), p_div_exact(d, g)
-    c, j, a, b = s
+    c, a, b = s
     s0 = s
     g = math.gcd(c, *n)
     if g != 1:
         n = tuple(x // g for x in n)
         c //= g
-    if j and not n[0]:
-        v = min(p_val(n), j)
-        n = n[v:]
-        j -= v
     k = 0
     while k < a and not sum(n):
         n = _div_q_minus_1(n)
@@ -265,7 +256,7 @@ def _cancel(n, d):
         n = _div_q_plus_1(n)
         k += 1
     b -= k
-    s = (c, j, a, b)
+    s = (c, a, b)
     return n, (d if s == s0 else _from_shape(s))
 
 
@@ -275,9 +266,20 @@ def _den_mul(d1, d2):
     s2 = _shape(d2)
     if s1 is None or s2 is None:
         return p_mul(d1, d2)
-    return _from_shape(
-        (s1[0] * s2[0], s1[1] + s2[1], s1[2] + s2[2], s1[3] + s2[3])
-    )
+    return _from_shape((s1[0] * s2[0], s1[1] + s2[1], s1[2] + s2[2]))
+
+
+def _reduce(val, num, den):
+    """(val, num, den) of q^val * num/den in canonical form, given den(0) != 0."""
+    if not num:
+        return 0, P_ZERO, P_ONE
+    j = p_val(num)
+    num = num[j:]
+    if den != P_ONE:
+        num, den = _cancel(num, den)
+        if den[-1] < 0:
+            num, den = p_neg(num), p_neg(den)
+    return val + j, num, den
 
 
 def p_lcm(a, b):
@@ -318,7 +320,7 @@ def poly_str(p, shift=0):
 
 
 class QScalar:
-    __slots__ = ("num", "den")
+    __slots__ = ("val", "num", "den")
 
     def __init__(self, num=P_ZERO, den=P_ONE):
         if isinstance(num, int):
@@ -329,21 +331,14 @@ class QScalar:
         den = p_trim(den)
         if not den:
             raise ZeroDivisionError("zero divisor")
-        if not num:
-            self.num = P_ZERO
-            self.den = P_ONE
-            return
-        num, den = _cancel(num, den)
-        if den[-1] < 0:
-            num = p_neg(num)
-            den = p_neg(den)
-        self.num = num
-        self.den = den
+        j = p_val(den)
+        self.val, self.num, self.den = _reduce(-j, num, den[j:])
 
     @staticmethod
-    def _raw(num, den):
-        # trusted constructor: num/den already canonical
+    def _raw(val, num, den):
+        # trusted constructor: (val, num, den) already canonical
         s = object.__new__(QScalar)
+        s.val = val
         s.num = num
         s.den = den
         return s
@@ -356,20 +351,19 @@ class QScalar:
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, QScalar):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            return self.den == P_ONE and self.num == ((other,) if other else P_ZERO)
-        return NotImplemented
+        other = _wrap(other)
+        if other is None:
+            return NotImplemented
+        return self.val == other.val and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         # an integer-valued scalar equals that int, so it must hash like it
-        if self.den == P_ONE and len(self.num) <= 1:
+        if not self.val and self.den == P_ONE and len(self.num) <= 1:
             return hash(self.num[0] if self.num else 0)
-        return hash((self.num, self.den))
+        return hash((self.val, self.num, self.den))
 
     def __neg__(self):
-        return QScalar._raw(p_neg(self.num), self.den)
+        return QScalar._raw(self.val, p_neg(self.num), self.den)
 
     def __add__(self, other):
         other = _wrap(other)
@@ -381,14 +375,13 @@ class QScalar:
             return other
         if not n2:
             return self
-        if d1 == P_ONE and d2 == P_ONE:
-            return QScalar._raw(p_add(n1, n2), P_ONE)
+        v = min(self.val, other.val)
+        n1 = p_shift(n1, self.val - v)
+        n2 = p_shift(n2, other.val - v)
         if d1 == d2:
-            num = p_add(n1, n2)
-            if not num:
-                return ZERO
-            return QScalar._raw(*_cancel(num, d1))
-        return QScalar(p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
+            return QScalar._raw(*_reduce(v, p_add(n1, n2), d1))
+        num = p_add(p_mul(n1, d2), p_mul(n2, d1))
+        return QScalar._raw(*_reduce(v, num, _den_mul(d1, d2)))
 
     __radd__ = __add__
 
@@ -412,15 +405,16 @@ class QScalar:
         n2, d2 = other.num, other.den
         if not n1 or not n2:
             return ZERO
+        v = self.val + other.val
         if n1 == P_ONE and d1 == P_ONE:
-            return other
+            return QScalar._raw(v, n2, d2) if self.val else other
         if n2 == P_ONE and d2 == P_ONE:
-            return self
+            return QScalar._raw(v, n1, d1) if other.val else self
         if d1 == P_ONE and d2 == P_ONE:
-            return QScalar._raw(p_mul(n1, n2), P_ONE)
+            return QScalar._raw(v, p_mul(n1, n2), P_ONE)
         n1, d2 = _cancel(n1, d2)
         n2, d1 = _cancel(n2, d1)
-        return QScalar._raw(p_mul(n1, n2), _den_mul(d1, d2))
+        return QScalar._raw(v, p_mul(n1, n2), _den_mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -430,7 +424,7 @@ class QScalar:
         n, d = self.den, self.num
         if d[-1] < 0:
             n, d = p_neg(n), p_neg(d)
-        return QScalar._raw(n, d)
+        return QScalar._raw(-self.val, n, d)
 
     def __truediv__(self, other):
         other = _wrap(other)
@@ -449,30 +443,25 @@ class QScalar:
             return ONE
         if k < 0:
             return self.inv() ** (-k)
-        return QScalar._raw(p_pow(self.num, k), p_pow(self.den, k))
+        return QScalar._raw(self.val * k, p_pow(self.num, k), p_pow(self.den, k))
 
     def bar(self):
         """The involution q -> q^-1."""
         n, d = self.num, self.den
         if not n:
             return ZERO
-        rn = p_trim(tuple(reversed(n)))
-        rd = p_trim(tuple(reversed(d)))
-        dn = len(n) - 1
-        dd = len(d) - 1
-        if dd >= dn:
-            num, den = p_shift(rn, dd - dn), rd
-        else:
-            num, den = rn, p_shift(rd, dn - dd)
-        if den[-1] < 0:
-            num, den = p_neg(num), p_neg(den)
-        return QScalar._raw(num, den)
+        # p(q^-1) = q^-deg(p) * (p reversed), and reversal keeps both
+        # constant terms nonzero
+        n, d = n[::-1], d[::-1]
+        if d[-1] < 0:
+            n, d = p_neg(n), p_neg(d)
+        return QScalar._raw(len(d) - len(n) - self.val, n, d)
 
     def __str__(self):
-        ns = poly_str(self.num)
-        if self.den == P_ONE:
+        ns = poly_str(self.num, max(self.val, 0))
+        if self.den == P_ONE and self.val >= 0:
             return ns
-        return "(%s)/(%s)" % (ns, poly_str(self.den))
+        return "(%s)/(%s)" % (ns, poly_str(self.den, max(-self.val, 0)))
 
     def __repr__(self):
         return "QScalar(%s)" % self
@@ -486,27 +475,18 @@ def _wrap(x):
     return None
 
 
-ZERO = QScalar._raw(P_ZERO, P_ONE)
-ONE = QScalar._raw(P_ONE, P_ONE)
-MINUS_ONE = QScalar._raw((-1,), P_ONE)
+ZERO = QScalar._raw(0, P_ZERO, P_ONE)
+ONE = QScalar._raw(0, P_ONE, P_ONE)
+MINUS_ONE = QScalar._raw(0, (-1,), P_ONE)
 
-# Tables of constants, bounded through remember.  The seeds come back after
-# every start-over: weyl compares ONE by identity, so qpow(0) and
-# from_int(0/1/-1) must return the module constants.
-_CONST_TABLE_MAX = 1 << 14
-_INT_SEED = {0: ZERO, 1: ONE, -1: MINUS_ONE}
-_UNIT_SEED = {0: ONE}
-_int_cache = dict(_INT_SEED)
-_qpow_cache = dict(_UNIT_SEED)
-_qint_cache = {}
+# weyl and polymod compare ONE by identity, so qpow(0) and from_int(0/1/-1)
+# return the module constants.
+_SMALL_INTS = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 
 
 def from_int(c):
-    s = _int_cache.get(c)
-    if s is None:
-        s = QScalar._raw((c,), P_ONE)
-        remember(_int_cache, c, s, _CONST_TABLE_MAX, _INT_SEED)
-    return s
+    s = _SMALL_INTS.get(c)
+    return QScalar._raw(0, (c,), P_ONE) if s is None else s
 
 
 def from_frac(a, b):
@@ -515,30 +495,14 @@ def from_frac(a, b):
 
 def qpow(k):
     """q^k as a scalar, for any integer k."""
-    s = _qpow_cache.get(k)
-    if s is None:
-        if k > 0:
-            s = QScalar._raw((0,) * k + (1,), P_ONE)
-        else:
-            s = QScalar._raw(P_ONE, (0,) * (-k) + (1,))
-        remember(_qpow_cache, k, s, _CONST_TABLE_MAX, _UNIT_SEED)
-    return s
+    return QScalar._raw(k, P_ONE, P_ONE) if k else ONE
 
 
 def qint(n):
     """Quantum integer [n] = (q^n - q^-n)/(q - q^-1)."""
-    s = _qint_cache.get(n)
-    if s is None:
-        if n == 0:
-            s = ZERO
-        elif n < 0:
-            s = -qint(-n)
-        else:
-            num = tuple(1 if i % 2 == 0 else 0 for i in range(2 * n - 1))
-            den = (0,) * (n - 1) + (1,) if n > 1 else P_ONE
-            s = QScalar._raw(num, den)
-        remember(_qint_cache, n, s, _CONST_TABLE_MAX)
-    return s
+    if n <= 0:
+        return -qint(-n) if n else ZERO
+    return QScalar._raw(1 - n, (1, 0) * (n - 1) + (1,), P_ONE)
 
 
 def qfact(n):
@@ -561,16 +525,6 @@ def qdoublefact(a):
     return s
 
 
-def laurent_parts(s):
-    """Split s as q^t * nt/dt with both parts having nonzero constant term."""
-    n, d = s.num, s.den
-    if not n:
-        return 0, P_ZERO, P_ONE
-    vn = p_val(n)
-    vd = p_val(d)
-    return vn - vd, n[vn:], d[vd:]
-
-
 def laurent_over_common_den(scalars):
     """Express scalars over one balanced common denominator.
 
@@ -579,16 +533,15 @@ def laurent_over_common_den(scalars):
     denominator is needed.  The shift -h centers the denominator so that
     q^2 - 1 is presented as q - q^-1.
     """
-    parts = [laurent_parts(s) for s in scalars]
     D = P_ONE
-    for _, _, dt in parts:
-        if dt != P_ONE:
-            D = p_lcm(D, dt)
+    for s in scalars:
+        if s.den != P_ONE:
+            D = p_lcm(D, s.den)
     h = (len(D) - 1) // 2
     nums = []
-    for t, nt, dt in parts:
-        f = D if dt == P_ONE else p_div_exact(D, dt)
-        nums.append((t - h, p_mul(nt, f) if f != P_ONE else nt))
+    for s in scalars:
+        f = D if s.den == P_ONE else p_div_exact(D, s.den)
+        nums.append((s.val - h, p_mul(s.num, f) if f != P_ONE else s.num))
     return nums, (-h, D)
 
 

@@ -268,8 +268,8 @@ class WeylElement(Terms):
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of an algebra element")
-        out = WeylElement.unit(self.variant)
-        for _ in range(k):
+        out = self if k else WeylElement.unit(self.variant)
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,13 +17,15 @@ from qweyl.scalars import (
     _shape,
     from_frac,
     from_int,
-    laurent_parts,
     p_add,
     p_div_exact,
     p_gcd,
     p_lcm,
     p_mul,
     p_neg,
+    p_shift,
+    p_trim,
+    p_val,
     qdoublefact,
     qfact,
     qint,
@@ -36,12 +39,12 @@ qi = qpow(-1)
 def test_canonical_form_examples():
     # expected tuples written out by hand
     s = q + qi
-    assert s.num == (1, 0, 1) and s.den == (0, 1)
-    assert QScalar((2, 2), (4,)).num == (1, 1)
-    assert QScalar((2, 2), (4,)).den == (2,)
+    assert (s.val, s.num, s.den) == (-1, (1, 0, 1), (1,))
+    s = QScalar((2, 2), (4,))
+    assert (s.val, s.num, s.den) == (0, (1, 1), (2,))
     # 2q / 4q^2 = 1 / 2q
     s = QScalar((0, 2), (0, 0, 4))
-    assert s.num == (1,) and s.den == (0, 2)
+    assert (s.val, s.num, s.den) == (-1, (1,), (2,))
     # denominator sign normalizes to positive leading coefficient
     s = QScalar((1,), (-1, 1))
     assert s.den == (-1, 1) or s.den[-1] > 0
@@ -214,10 +217,9 @@ def test_canonicalization_is_unique():
     for _ in range(80):
         a = _rand_scalar(rng)
         junk = _rand_poly(rng, allow_zero=False)
-        blown = QScalar(
-            tuple(x for x in _mul(a.num, junk)), tuple(x for x in _mul(a.den, junk))
-        )
-        assert blown.num == a.num and blown.den == a.den
+        n, d = _full(a)
+        blown = QScalar(_mul(n, junk), _mul(d, junk))
+        assert (blown.val, blown.num, blown.den) == (a.val, a.num, a.den)
 
 
 def _mul(a, b):
@@ -230,15 +232,20 @@ def _mul(a, b):
     return tuple(out)
 
 
+def _full(s):
+    # q^val * num/den as one fraction: the q-power joins one side
+    if s.val >= 0:
+        return p_shift(s.num, s.val), s.den
+    return s.num, p_shift(s.den, -s.val)
+
+
 def test_q_lives_on_one_side_only():
     rng = random.Random(5)
     for _ in range(80):
         s = _rand_scalar(rng)
         if s.is_zero:
             continue
-        num_div = s.num[0] == 0
-        den_div = s.den[0] == 0
-        assert not (num_div and den_div)
+        assert s.num[0] != 0 and s.den[0] != 0
 
 
 def test_render():
@@ -253,12 +260,53 @@ def test_render():
 
 
 def test_laurent_parts():
-    t, nt, dt = laurent_parts(qpow(-3))
-    assert (t, nt, dt) == (-3, (1,), (1,))
-    t, nt, dt = laurent_parts(qint(3))
-    assert t == -2 and nt == (1, 0, 1, 0, 1) and dt == (1,)
-    t, nt, dt = laurent_parts(ONE / (q - qi))
-    assert t == 1 and nt == (1,) and dt == (-1, 0, 1)
+    # a scalar is stored as its Laurent split q^val * num/den
+    s = qpow(-3)
+    assert (s.val, s.num, s.den) == (-3, (1,), (1,))
+    s = qint(3)
+    assert (s.val, s.num, s.den) == (-2, (1, 0, 1, 0, 1), (1,))
+    s = ONE / (q - qi)
+    assert (s.val, s.num, s.den) == (1, (1,), (-1, 0, 1))
+
+
+def test_qpow_is_an_integer_exponent():
+    s = qpow(3)
+    assert (s.val, s.num, s.den) == (3, (1,), (1,))
+    # a huge exponent costs no more than a small one
+    t0 = time.perf_counter()
+    big, small = qpow(10**9), qpow(-(10**9))
+    assert big * small == 1
+    assert big.bar() == small
+    assert str(small) == "(1)/(q^1000000000)"
+    assert time.perf_counter() - t0 < 1
+
+
+def _bar_of_fraction(n, d):
+    # bar on the canonical fraction n/d: reverse both sides, drop the
+    # trailing zeros, then pad with a q-power so the degrees balance
+    rn = p_trim(tuple(reversed(n)))
+    rd = p_trim(tuple(reversed(d)))
+    dn = len(n) - 1
+    dd = len(d) - 1
+    if dd >= dn:
+        rn = p_shift(rn, dd - dn)
+    else:
+        rd = p_shift(rd, dn - dd)
+    if rd[-1] < 0:
+        rn, rd = p_neg(rn), p_neg(rd)
+    return rn, rd
+
+
+def test_bar_matches_fraction_formula():
+    rng = random.Random(4242)
+    signs = set()
+    for _ in range(300):
+        s = _rand_shaped_scalar(rng)
+        if s.is_zero:
+            continue
+        signs.add((s.val > 0) - (s.val < 0))
+        assert _full(s.bar()) == _bar_of_fraction(*_full(s))
+    assert signs == {-1, 0, 1}
 
 
 def test_inexact_division_raises_under_python_O():
@@ -292,20 +340,19 @@ def _times(p, factor, k):
     return p
 
 
-def _shaped(c, j, a, b):
-    p = _times(_times((c,), Q_MINUS_1, a), Q_PLUS_1, b)
-    return (0,) * j + p
+def _shaped(c, a, b):
+    return _times(_times((c,), Q_MINUS_1, a), Q_PLUS_1, b)
 
 
 def test_shape_examples():
-    assert _shape((1, 1)) == (1, 0, 0, 1)
-    assert _shape((-1, 1)) == (1, 0, 1, 0)
+    assert _shape((1, 1)) == (1, 0, 1)
+    assert _shape((-1, 1)) == (1, 1, 0)
     for k in range(1, 7):
-        assert _shape(_times((1,), (-1, 0, 1), k)) == (1, 0, k, k)
-    assert _shape(_shaped(2, 3, 2, 2)) == (2, 3, 2, 2)
-    assert _shape((0, 0, 0, 2, 0, -4, 0, 2)) == (2, 3, 2, 2)  # 2q^3(q^2-1)^2
-    assert _shape((1,)) == (1, 0, 0, 0)
-    assert _shape((0, 0, -3)) == (-3, 2, 0, 0)
+        assert _shape(_times((1,), (-1, 0, 1), k)) == (1, k, k)
+    assert _shape(_shaped(2, 2, 2)) == (2, 2, 2)
+    assert _shape((2, 0, -4, 0, 2)) == (2, 2, 2)  # 2(q^2-1)^2
+    assert _shape((1,)) == (1, 0, 0)
+    assert _shape((-3,)) == (-3, 0, 0)
     assert _shape((1, 0, 1)) is None
     assert _shape((1, 1, 1)) is None
     assert _shape((1, 2)) is None
@@ -313,7 +360,7 @@ def test_shape_examples():
 
 
 def test_from_shape_round_trip():
-    for s in ((1, 0, 0, 0), (3, 2, 1, 0), (-2, 0, 4, 6), (1, 5, 6, 6)):
+    for s in ((1, 0, 0), (3, 1, 0), (-2, 4, 6), (1, 6, 6)):
         assert _from_shape(s) == _shaped(*s)
         assert _shape(_from_shape(s)) == s
 
@@ -335,7 +382,7 @@ def _rand_num(rng):
 
 def _rand_shaped_den(rng):
     c = rng.choice((1, 1, 1, 2, 3, 4, 6, 9, -1, -6))
-    return _shaped(c, rng.randint(0, 5), rng.randint(0, 6), rng.randint(0, 6))
+    return _shaped(c, rng.randint(0, 6), rng.randint(0, 6))
 
 
 UNSHAPED = ((1, 0, 1), (1, 1, 1), (1, 2))
@@ -357,6 +404,7 @@ def test_cancel_matches_gcd():
     rng = random.Random(20261017)
     for _ in range(600):
         n = _rand_num(rng)
+        n = n[p_val(n):]
         d = _rand_den(rng)
         assert _cancel(n, d) == _by_gcd(n, d), (n, d)
     for d in UNSHAPED:
@@ -375,8 +423,12 @@ def _reference(n, d):
 
 
 def _rand_shaped_scalar(rng):
-    n, d = _reference(_rand_num(rng), _rand_den(rng))
-    return QScalar._raw(n, d)
+    # a scalar built from its fraction by the general gcd alone; the
+    # denominator may carry a power of q, so val takes both signs
+    d = p_shift(_rand_den(rng), rng.randint(0, 5))
+    n, d = _reference(_rand_num(rng), d)
+    vn, vd = p_val(n), p_val(d)
+    return QScalar._raw(vn - vd, n[vn:], d[vd:])
 
 
 def test_products_and_sums_match_general_gcd():
@@ -384,18 +436,20 @@ def test_products_and_sums_match_general_gcd():
     for _ in range(400):
         a = _rand_shaped_scalar(rng)
         b = _rand_shaped_scalar(rng)
+        (an, ad), (bn, bd) = _full(a), _full(b)
         prod = a * b
-        want = _reference(p_mul(a.num, b.num), p_mul(a.den, b.den))
-        assert (prod.num, prod.den) == want
-        old = QScalar(p_mul(a.num, b.num), p_mul(a.den, b.den))
-        assert (prod.num, prod.den) == (old.num, old.den)
+        assert _full(prod) == _reference(p_mul(an, bn), p_mul(ad, bd))
+        old = QScalar(p_mul(an, bn), p_mul(ad, bd))
+        assert (prod.val, prod.num, prod.den) == (old.val, old.num, old.den)
         total = a + b
-        want = _reference(p_add(p_mul(a.num, b.den), p_mul(b.num, a.den)), p_mul(a.den, b.den))
-        assert (total.num, total.den) == want
-        b = QScalar(b.num, a.den)
+        want = _reference(p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
+        assert _full(total) == want
+        b = QScalar(bn, a.den)
         if b.den == a.den:
             same = a + b
-            assert (same.num, same.den) == _reference(p_add(a.num, b.num), a.den)
+            bn, bd = _full(b)
+            want = _reference(p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
+            assert _full(same) == want
 
 
 def test_lcm_of_shapes_matches_gcd_formula():
@@ -411,36 +465,24 @@ def test_lcm_of_shapes_matches_gcd_formula():
         assert p_lcm(a, b) == want
 
 
-def test_constant_tables_are_bounded(monkeypatch):
-    cap = 5
-    monkeypatch.setattr(scalars, "_CONST_TABLE_MAX", cap)
-    tables = {
-        "_int_cache": scalars._INT_SEED,
-        "_qpow_cache": scalars._UNIT_SEED,
-        "_qint_cache": {},
-    }
-    for name, seed in tables.items():
-        monkeypatch.setattr(scalars, name, dict(seed))
-
-    def sizes_ok():
-        return all(len(getattr(scalars, name)) <= cap for name in tables)
-
+def test_constants_values_and_identities():
+    # weyl and polymod compare ONE by identity
+    assert qpow(0) is ONE
+    assert from_int(0) is ZERO and from_int(1) is ONE
+    assert from_int(-1) is scalars.MINUS_ONE
+    assert qfact(0) is ONE and qdoublefact(0) is ONE
     for k in range(-12, 13):
         expected = QScalar((0,) * k + (1,)) if k >= 0 else QScalar((1,), (0,) * -k + (1,))
         assert qpow(k) == expected
         assert from_int(3 * k) == QScalar(3 * k)
         assert qint(k) == (qpow(k) - qpow(-k)) / (qpow(1) - qpow(-1))
-        assert sizes_ok()
-    # 25 keys each went through tables of 5 entries, so every table started
-    # over more than once, and the seeds came back each time
-    assert qpow(0) is ONE
-    assert from_int(0) is ZERO and from_int(1) is ONE
-    assert from_int(-1) is scalars.MINUS_ONE
-    for _ in range(2):
-        fact = dfact = ONE
-        for n in range(1, 10):
-            fact = fact * qint(n)
-            dfact = dfact * qint(2 * n)
-            assert qfact(n) == fact and qdoublefact(n) == dfact
-            assert sizes_ok()
-    assert qfact(0) is ONE and qdoublefact(0) is ONE
+    fact = dfact = ONE
+    for n in range(1, 10):
+        fact = fact * qint(n)
+        dfact = dfact * qint(2 * n)
+        assert qfact(n) == fact and qdoublefact(n) == dfact
+    # constants are built, not remembered: no module table grows
+    tables = {k: v for k, v in vars(scalars).items() if isinstance(v, dict) and k[:2] != "__"}
+    sizes = {k: len(v) for k, v in tables.items()}
+    qpow(4321), from_int(4321), qint(4321)
+    assert {k: len(v) for k, v in tables.items()} == sizes
