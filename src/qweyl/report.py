@@ -33,9 +33,32 @@ class Check:
 
 
 def equality_check(id, description, lhs, rhs):
-    """Compare two values with ==; renders both sides into the record."""
+    """Compare two values with ==; renders both sides into the record.
+
+    Equal values of one type share a canonical form and render alike, so a
+    passing check renders it once.
+    """
     ok = lhs == rhs
+    if ok and type(lhs) is type(rhs):
+        text = str(lhs)
+        return Check(id, description, text, text, PASS)
     return Check(id, description, str(lhs), str(rhs), PASS if ok else FAIL)
+
+
+def _tag_text(tag):
+    """An instance tag as a failing record shows it.
+
+    A grid tag is the pair (letter text or None, exponent vector a) and
+    reads "X^(0, 1)" or "<letter> on X^((0, 1),)": the letter form has
+    always shown the point as a one-element tuple, and the reports keep it.
+    Any other tag, such as a letter's text, is shown as is.
+    """
+    if type(tag) is not tuple:
+        return tag
+    letter, a = tag
+    if letter is None:
+        return "X^%s" % (a,)
+    return "%s on X^(%s,)" % (letter, a)
 
 
 def aggregate_check(id, description, instances):
@@ -43,11 +66,13 @@ def aggregate_check(id, description, instances):
 
     Passes when every pair agrees; on the first mismatch the offending
     instance is rendered into the record and the rest are not evaluated.
+    Only that instance's tag is ever rendered (see _tag_text).
     """
     n = 0
     for tag, lhs, rhs in instances:
         n += 1
         if lhs != rhs:
+            tag = _tag_text(tag)
             return Check(
                 id,
                 description,

@@ -48,6 +48,9 @@ def p_mul(a, b):
 
 
 def p_pow(a, k):
+    if len(a) == 1:
+        # a constant, such as the (1,) of a power of q: one int power
+        return (a[0] ** k,)
     out = P_ONE
     for _ in range(k):
         out = p_mul(out, a)

@@ -132,6 +132,45 @@ def test_tcal_validation():
         tcal(J2, 1, 1, "prime", PolyElement.unit(J1))
 
 
+def _rand_poly(rng, v, bound):
+    f = PolyElement(v, {})
+    for _ in range(rng.randint(0, 3)):
+        a = tuple(rng.randint(0, bound) for _ in range(v.rank + 1))
+        f = f + mono(v, a, qpow(rng.randint(-2, 2)) + rng.randint(-1, 1))
+    return f
+
+
+def test_bound_action_matches_act():
+    rng = random.Random(31)
+    for v in (J1, J2, I1, I2):
+        letters = generator_letters(v)
+        for _ in range(12):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+            other = (rng.choice(letters),)
+            coeff = qpow(rng.randint(-1, 1))
+            elem = reduce_word(v, word) + reduce_word(v, other, coeff)
+            bound = polymod.action(v, elem)
+            for _ in range(4):
+                f = _rand_poly(rng, v, 3)
+                want = act_word(v, word, f) + act_word(v, other, f, coeff)
+                assert bound(f) == act(v, elem, f) == want
+
+
+def test_bound_action_checks_the_element_once_and_each_polynomial():
+    twin = Variant("jmath", 1)
+    with pytest.raises(ValueError, match="variant mismatch"):
+        polymod.action(J1, reduce_word(I1, (("x", 1),)))
+    bound = polymod.action(J1, reduce_word(twin, (("x", 1),)))
+    assert bound(mono(twin, (1, 2))) == mono(J1, (2, 2))
+    with pytest.raises(ValueError, match="variant mismatch"):
+        bound(mono(I1, (1, 2)))
+    x = reduce_word(J1, (("x", 1),))
+    zero = polymod.action(J1, x - x)
+    assert zero(mono(J1, (1, 2))).is_zero
+    with pytest.raises(ValueError, match="variant mismatch"):
+        zero(mono(I1, (1, 2)))
+
+
 def test_poly_algebra_and_rendering():
     f = mono(J2, (2, 0, 1)) + mono(J2, (0, 1, 0), qpow(1) + qpow(-1))
     assert str(f) == "X1^2 X3 + (q + q^-1) X2"

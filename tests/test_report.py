@@ -1,0 +1,76 @@
+"""Check records: when instance tags and compared values get rendered."""
+
+from qweyl import polymod
+from qweyl.report import FAIL, PASS, aggregate_check, equality_check
+from qweyl.satake import Variant
+from qweyl.scalars import qpow
+
+
+class Unprintable:
+    def __str__(self):
+        raise AssertionError("rendered a tag of a passing instance")
+
+
+class Counted:
+    """A value that counts how often it is rendered."""
+
+    renders = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __eq__(self, other):
+        return isinstance(other, Counted) and self.key == other.key
+
+    def __str__(self):
+        Counted.renders += 1
+        return "v%d" % self.key
+
+
+def test_failing_grid_instance_renders_both_tag_forms():
+    point = aggregate_check("c", "d", [((None, (0, 1, 2)), 1, 2)])
+    assert (point.status, point.lhs, point.rhs) == (FAIL, "[X^(0, 1, 2)] 1", "[X^(0, 1, 2)] 2")
+    letter = aggregate_check("c", "d", [(("d1", (0, 1, 2)), 1, 2)])
+    assert letter.lhs == "[d1 on X^((0, 1, 2),)] 1"
+    assert letter.rhs == "[d1 on X^((0, 1, 2),)] 2"
+
+
+def test_only_the_first_failing_tag_is_rendered():
+    instances = [
+        ((Unprintable(), (0,)), 1, 1),
+        ("B1", 3, 3),
+        (("x2", (1, 0)), 1, 2),
+        ((Unprintable(), (1, 1)), 1, 2),
+    ]
+    c = aggregate_check("c", "d", iter(instances))
+    assert (c.status, c.lhs, c.rhs) == (FAIL, "[x2 on X^((1, 0),)] 1", "[x2 on X^((1, 0),)] 2")
+    # string tags, such as letter tags, pass through unchanged
+    c = aggregate_check("c", "d", [("K1^-1", 0, 1)])
+    assert c.lhs == "[K1^-1] 0"
+
+
+def test_a_passing_check_never_renders_a_tag():
+    instances = [((Unprintable(), (k, 0)), k, k) for k in range(5)]
+    instances.append((Unprintable(), 1, 1))
+    c = aggregate_check("c", "d", instances)
+    assert (c.status, c.lhs) == (PASS, "agree on 6 instances")
+
+
+def test_module_homomorphism_failure_renders_the_point(monkeypatch):
+    real = polymod.act_word
+    monkeypatch.setattr(polymod, "act_word", lambda v, w, p: real(v, w, p).scale(qpow(1)))
+    checks = polymod.check_module_homomorphism(Variant("jmath", 1), 1)
+    c = {c.id: c for c in checks}["module-homomorphism/word/01"]
+    assert (c.status, c.lhs, c.rhs) == (FAIL, "[X^(0, 0)] q", "[X^(0, 0)] 1")
+
+
+def test_passing_equality_renders_once_and_failing_renders_both():
+    Counted.renders = 0
+    c = equality_check("c", "d", Counted(1), Counted(1))
+    assert (c.status, c.lhs, c.rhs, Counted.renders) == (PASS, "v1", "v1", 1)
+    Counted.renders = 0
+    c = equality_check("c", "d", Counted(1), Counted(2))
+    assert (c.status, c.lhs, c.rhs, Counted.renders) == (FAIL, "v1", "v2", 2)
+    # equal values of two types may render apart: both sides are rendered
+    c = equality_check("c", "d", 1, 1.0)
+    assert (c.status, c.lhs, c.rhs) == (PASS, "1", "1.0")

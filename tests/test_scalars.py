@@ -486,3 +486,24 @@ def test_constants_values_and_identities():
     sizes = {k: len(v) for k, v in tables.items()}
     qpow(4321), from_int(4321), qint(4321)
     assert {k: len(v) for k, v in tables.items()} == sizes
+
+
+def test_power_of_a_constant_fraction_is_one_int_power():
+    t0 = time.perf_counter()
+    assert qpow(1) ** 10**9 == qpow(10**9)
+    assert (-qpow(2)) ** 3 == -qpow(6)
+    assert from_frac(-2, 3) ** 5 == from_frac(-32, 243)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_pow_matches_repeated_multiplication():
+    rng = random.Random(606)
+    for _ in range(60):
+        s = _rand_shaped_scalar(rng)
+        if s.is_zero:
+            continue
+        prod = ONE
+        for k in range(7):
+            got = s ** k
+            assert (got.val, got.num, got.den) == (prod.val, prod.num, prod.den)
+            prod = prod * s
