@@ -24,7 +24,6 @@ from .operators import (
 from .iqg import (
     check_intertwine,
     check_phi_relations,
-    iexpr_str,
     iqg_letters,
     omega_subst,
     phi,

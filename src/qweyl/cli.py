@@ -13,19 +13,33 @@ from . import iqg, operators, polymod, report, weyl
 from .parser import ParseError, parse
 from .satake import VARIANT_KINDS, Variant
 
-SUITES = (
-    "weyl-relations",
-    "endo-well-defined",
-    "braid",
-    "omega-commute",
-    "phi-relations",
-    "intertwine",
-    "module-homomorphism",
-    "tcal",
-    "iu-module",
-)
+# Each suite's checks for (v, e, degree).  The rows look their suite up at
+# call time, so a wrapper or patch on the module function applies.
+SUITES = {
+    "weyl-relations": lambda v, e, degree: weyl.check_weyl_relations(v),
+    "endo-well-defined": lambda v, e, degree: operators.check_well_defined(v, e),
+    "braid": lambda v, e, degree: operators.check_braid_suite(v, e),
+    "omega-commute": lambda v, e, degree: operators.check_omega_commutes(v, e),
+    "phi-relations": lambda v, e, degree: iqg.check_phi_relations(v),
+    "intertwine": lambda v, e, degree: iqg.check_intertwine(v, e),
+    "module-homomorphism": lambda v, e, degree: polymod.check_module_homomorphism(
+        v, degree
+    ),
+    "tcal": lambda v, e, degree: polymod.check_tcal_suite(v, e, degree),
+    "iu-module": lambda v, e, degree: polymod.check_iu_module(v, e, degree),
+}
 
-APPLY_OPS = ("T", "tau", "omega", "psi", "Omega", "Psi", "phi")
+# Each apply operator: the alphabet its input is parsed in, and its result on
+# the parsed input x given (v, args).
+APPLY_OPS = {
+    "T": ("weyl", lambda v, a, x: operators.braid_op(v, a.i, a.e, a.kind).apply(x)),
+    "tau": ("iqg", lambda v, a, x: iqg.tau_subst(v, a.i, a.e, a.kind).apply(x)),
+    "omega": ("weyl", lambda v, a, x: operators.omega_op(v).apply(x)),
+    "psi": ("weyl", lambda v, a, x: operators.psi_op(v).apply(x)),
+    "Omega": ("iqg", lambda v, a, x: iqg.omega_subst(v).apply(x)),
+    "Psi": ("iqg", lambda v, a, x: iqg.psi_subst(v).apply(x)),
+    "phi": ("iqg", lambda v, a, x: iqg.phi(v, x)),
+}
 
 # Input bounds.  Every element carries one entry per oscillator index, so an
 # unbounded rank could exhaust memory before any work starts; the module
@@ -65,7 +79,7 @@ def _build_argparser():
     p.add_argument("--alphabet", choices=("weyl", "iqg"), default="weyl")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=SUITES + ("all",))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     common(p)
     p.add_argument("--e", type=int, choices=(1, -1), default=1)
     p.add_argument("--degree", type=int, default=6)
@@ -75,25 +89,10 @@ def _build_argparser():
 
 
 def suite_checks(name, v, e, degree):
-    if name == "weyl-relations":
-        return weyl.check_weyl_relations(v)
-    if name == "endo-well-defined":
-        return operators.check_well_defined(v, e)
-    if name == "braid":
-        return operators.check_braid_suite(v, e)
-    if name == "omega-commute":
-        return operators.check_omega_commutes(v, e)
-    if name == "phi-relations":
-        return iqg.check_phi_relations(v)
-    if name == "intertwine":
-        return iqg.check_intertwine(v, e)
-    if name == "module-homomorphism":
-        return polymod.check_module_homomorphism(v, degree)
-    if name == "tcal":
-        return polymod.check_tcal_suite(v, e, degree)
-    if name == "iu-module":
-        return polymod.check_iu_module(v, e, degree)
-    raise ValueError("unknown suite %r" % (name,))
+    checks = SUITES.get(name)
+    if checks is None:
+        raise ValueError("unknown suite %r" % (name,))
+    return checks(v, e, degree)
 
 
 def _emit(text, out_path):
@@ -129,31 +128,11 @@ def _run_verify(args, v):
 
 
 def _run_apply(args, v):
-    op = args.op
-    if op in ("T", "tau") and args.i is None:
-        print("--i is required for --op %s" % op, file=sys.stderr)
+    if args.op in ("T", "tau") and args.i is None:
+        print("--i is required for --op %s" % args.op, file=sys.stderr)
         return 2
-    if op in ("T", "omega", "psi"):
-        elem = parse(args.expr, "weyl", v)
-        if op == "T":
-            spec = operators.braid_op(v, args.i, args.e, args.kind)
-        elif op == "omega":
-            spec = operators.omega_op(v)
-        else:
-            spec = operators.psi_op(v)
-        print(spec.apply(elem))
-        return 0
-    expr = parse(args.expr, "iqg", v)
-    if op == "phi":
-        print(iqg.phi(v, expr))
-        return 0
-    if op == "tau":
-        subst = iqg.tau_subst(v, args.i, args.e, args.kind)
-    elif op == "Omega":
-        subst = iqg.omega_subst(v)
-    else:
-        subst = iqg.psi_subst(v)
-    print(iqg.iexpr_str(subst.apply(expr)))
+    alphabet, result = APPLY_OPS[args.op]
+    print(result(v, args, parse(args.expr, alphabet, v)))
     return 0
 
 

@@ -176,6 +176,13 @@ class FreeExpr(Terms):
             out.update(w)
         return out
 
+    def __str__(self):
+        """Render in letter tags, inverse letters spelled as powers (K1^-1)."""
+        words = sorted(self.terms, reverse=True)
+        return scalars.terms_str(
+            [(" ".join(map(letter_tag, w)), self.terms[w]) for w in words], sep="*"
+        )
+
     def __repr__(self):
         if not self.terms:
             return "FreeExpr(0)"

@@ -16,7 +16,7 @@ from .expressions import FreeExpr, letter_tag, qcomm
 from .report import aggregate_check, equality_check, skipped_check
 from .satake import BRAID_KINDS, braid_relation_checks, cartan
 from .scalars import qpow
-from .weyl import _QD, EndoSpec, WeylElement, reduce_word
+from .weyl import _QD, EndoSpec, reduce_word
 from . import scalars
 
 
@@ -52,26 +52,6 @@ def varsigma(v, i):
     return scalars.ZERO
 
 
-def iexpr_str(expr):
-    """Render a free expression in B/K letters, K^-1 spelled as a power."""
-    words = sorted(expr.terms, reverse=True)
-    return scalars.terms_str(
-        [(" ".join(letter_tag(l) for l in w), expr.terms[w]) for w in words],
-        sep="*",
-    )
-
-
-def _invert_m_elem(elem):
-    """Inverse of a one-term element supported on m-letters only."""
-    ((mono, c),) = elem.terms.items()
-    inv = []
-    for a, b, s in mono:
-        if a or b:
-            raise ValueError("element is not an invertible monomial")
-        inv.append((0, 0, -s))
-    return WeylElement(elem.variant, {tuple(inv): c.inv()})
-
-
 def _phi_letter(v, name, idx):
     r = v.rank
     if name == "B":
@@ -81,16 +61,18 @@ def _phi_letter(v, name, idx):
             return reduce_word(v, (("x", r + 1), ("d", r + 1)))
         t = v.rho(idx)
         return reduce_word(v, (("x", t), ("d", t + 1)))
+    # K letters map to q^qe m_a m_b^-1
     if idx <= r:
+        a, b = idx, idx + 1
         qe = -1 if (v.kind == "jmath" and idx == r) else 0
-        elem = reduce_word(v, (("m", idx), ("mi", idx + 1)), qpow(qe))
     else:
         t = v.rho(idx)
+        a, b = t + 1, t
         qe = 1 if (v.kind == "jmath" and idx == r + 1) else 0
-        elem = reduce_word(v, (("mi", t), ("m", t + 1)), qpow(qe))
     if name == "Ki":
-        elem = _invert_m_elem(elem)
-    return elem
+        # m letters of distinct indices commute: the inverse swaps a and b
+        a, b, qe = b, a, -qe
+    return reduce_word(v, (("m", a), ("mi", b)), qpow(qe))
 
 
 _PHI_CACHE = {}
@@ -161,6 +143,20 @@ def _k_rho_inverse(v, expr):
     for name, idx in reversed(word):
         inv.append(("K", v.rho(idx) if name == "K" else idx))
     return FreeExpr({tuple(inv): coeff.inv()})
+
+
+def _k_images(v, lower):
+    """The K and K^-1 letter images, given lower(j), the image of K_j for j <= r.
+
+    Upper nodes and inverses follow from K_a^-1 = K_rho(a).
+    """
+    images = {}
+    for j in v.node_indices:
+        if v.k_legal(j):
+            img = lower(j) if j <= v.rank else _k_rho_inverse(v, lower(v.rho(j)))
+            images[("K", j)] = img
+            images[("Ki", j)] = _k_rho_inverse(v, img)
+    return images
 
 
 def _tau_k_lower(v, i, j):
@@ -251,18 +247,8 @@ def tau_subst(v, i, e, kind):
     """The substitution tau'_{i,e} (kind "prime") or tau''_{i,e}."""
     v.check_braid_args(i, e, kind)
     prime = kind == "prime"
-    images = {}
-    for j in v.node_indices:
-        images[("B", j)] = _tau_b_image(v, i, e, prime, j)
-    for j in v.node_indices:
-        if not v.k_legal(j):
-            continue
-        if j <= v.rank:
-            img = _tau_k_lower(v, i, j)
-        else:
-            img = _k_rho_inverse(v, _tau_k_lower(v, i, v.rho(j)))
-        images[("K", j)] = img
-        images[("Ki", j)] = _k_rho_inverse(v, img)
+    images = {("B", j): _tau_b_image(v, i, e, prime, j) for j in v.node_indices}
+    images.update(_k_images(v, lambda j: _tau_k_lower(v, i, j)))
     name = "tau'" if prime else "tau''"
     return ISubst(v, images, label="%s_{%d,%+d}" % (name, i, e))
 
@@ -284,23 +270,14 @@ def psi_subst(v):
     The q-power on the K image lives on the lower indices; upper-index
     images follow by inverting, using K_a^-1 = K_rho(a).
     """
-    images = {}
-    twisted = v.kind == "jmath"
-    for j in v.node_indices:
-        images[("B", j)] = FreeExpr.letter("B", j)
-    for j in v.node_indices:
-        if not v.k_legal(j):
-            continue
-        if j <= v.rank:
-            c = qpow(-1) if (twisted and j == v.rank) else scalars.ONE
-            img = FreeExpr.letter("K", v.rho(j)).scale(c)
-        else:
-            psi_low = FreeExpr.letter("K", j).scale(
-                qpow(-1) if (twisted and v.rho(j) == v.rank) else scalars.ONE
-            )
-            img = _k_rho_inverse(v, psi_low)
-        images[("K", j)] = img
-        images[("Ki", j)] = _k_rho_inverse(v, img)
+    twist = qpow(-1) if v.kind == "jmath" else scalars.ONE
+
+    def lower(j):
+        c = twist if j == v.rank else scalars.ONE
+        return FreeExpr.letter("K", v.rho(j)).scale(c)
+
+    images = {("B", j): FreeExpr.letter("B", j) for j in v.node_indices}
+    images.update(_k_images(v, lower))
     return ISubst(v, images, antimultiplicative=True, label="Psi")
 
 
@@ -413,42 +390,44 @@ def check_intertwine(v, e):
     letters = iqg_letters(v)
     ph = phi_spec(v)
 
+    def pairs(lhs, rhs):
+        """Instances comparing two letter maps on every letter."""
+        return ((letter_tag(l), lhs(l), rhs(l)) for l in letters)
+
+    def after_phi(x):
+        """The letter map l -> x(phi(l)) of an operator x on the Weyl algebra."""
+        return lambda l: x.apply(ph.image(l))
+
+    @functools.cache
+    def sub(t):
+        return tau_subst(v, *t)
+
     for kind in BRAID_KINDS:
         for i in v.braid_indices:
             t = operators.braid_op(v, i, e, kind)
-            s = tau_subst(v, i, e, kind)
+            s = sub((i, e, kind))
             checks.append(
                 aggregate_check(
                     "intertwine/T-tau/%s/i=%d" % (kind, i),
                     "%s o phi = phi o %s on letters" % (t.label, s.label),
-                    (
-                        (
-                            letter_tag(l),
-                            t.apply(ph.image(l)),
-                            ph.apply_free(s.image(l)),
-                        )
-                        for l in letters
-                    ),
+                    pairs(after_phi(t), fuse(ph, s).image),
                 )
             )
 
-    om_w = operators.omega_op(v)
     om_i = omega_subst(v)
+    ph_om = fuse(ph, om_i)
     checks.append(
         aggregate_check(
             "intertwine/omega-Omega",
             "omega o phi = phi o Omega on letters",
-            (
-                (letter_tag(l), om_w.apply(ph.image(l)), ph.apply_free(om_i.image(l)))
-                for l in letters
-            ),
+            pairs(after_phi(operators.omega_op(v)), ph_om.image),
         )
     )
 
     if v.kind == "jmath" and v.rank >= 2:
         r = v.rank
         mname = "m" if e == 1 else "mi"
-        lhs = ph.apply_free(tau_subst(v, r, e, "prime").image(("B", r - 1)))
+        lhs = ph.apply_free(sub((r, e, "prime")).image(("B", r - 1)))
         rhs = reduce_word(
             v, ((mname, r), (mname, r + 1), ("x", r), ("d", r - 1)), qpow(e)
         )
@@ -469,25 +448,18 @@ def check_intertwine(v, e):
             )
         )
 
-    @functools.cache
-    def sub(t):
-        return tau_subst(v, *t)
-
     def compose(word):
         h = ph
         for t in word:
             h = fuse(h, sub(t))
         return h
 
-    def instances(h1, h2):
-        return ((letter_tag(l), h1.image(l), h2.image(l)) for l in letters)
-
     checks.extend(
         braid_relation_checks(
             v,
             e,
             compose,
-            instances,
+            lambda h1, h2: pairs(h1.image, h2.image),
             ("intertwine/tau-inverse/", "intertwine/tau-braid/"),
             _TAU_BRAID_TEXT,
         )
@@ -497,23 +469,17 @@ def check_intertwine(v, e):
         mark = "'" if kind == "prime" else "''"
         for i in v.braid_indices:
             tau = sub((i, e, kind))
-            h1 = fuse(fuse(ph, tau), om_i)
-            h2 = fuse(fuse(ph, om_i), tau)
             checks.append(
                 aggregate_check(
                     "intertwine/tau-Omega/%s/i=%d" % (kind, i),
                     "tau%s_%d o Omega = Omega o tau%s_%d through phi"
                     % (mark, i, mark, i),
-                    ((letter_tag(l), h1.image(l), h2.image(l)) for l in letters),
+                    pairs(fuse(fuse(ph, tau), om_i).image, fuse(ph_om, tau).image),
                 )
             )
 
-    psi_w = operators.psi_op(v)
-    ps = psi_subst(v)
-    agree = all(
-        psi_w.apply(ph.image(l)) == ph.apply_free(ps.image(l)) for l in letters
-    )
-    verdict = "holds" if agree else "does not hold"
+    psi = pairs(after_phi(operators.psi_op(v)), fuse(ph, psi_subst(v)).image)
+    verdict = "holds" if all(a == b for _, a, b in psi) else "does not hold"
     checks.append(
         skipped_check(
             "intertwine/psi-Psi",

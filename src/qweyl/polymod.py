@@ -160,11 +160,9 @@ def act_word(v, word, poly, coeff=scalars.ONE):
 
 # Per variant, keyed by (kind, rank), which hashes without a Python call:
 # (monomial, exponents on its support) -> action image, None when the
-# monomial annihilates.  Beside it, the support of each monomial.  Every
-# table is bounded and starts over when full.
+# monomial annihilates.  The table is bounded and starts over when full.
 _ACT_CACHE_MAX = 1 << 16
 _ACT_CACHE = {}
-_support_of = {}
 _UNSEEN = object()
 
 
@@ -204,10 +202,7 @@ def action(v, elem):
     one = scalars.ONE
     parts = []
     for mono, mc in elem.terms.items():
-        support = _support_of.get(mono)
-        if support is None:
-            support = tuple(p for p, t in enumerate(mono) if t != (0, 0, 0))
-            scalars.remember(_support_of, mono, support, _ACT_CACHE_MAX)
+        support = tuple(p for p, t in enumerate(mono) if t != (0, 0, 0))
         parts.append((mono, mc, support))
 
     def apply(poly):

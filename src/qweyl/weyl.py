@@ -53,7 +53,7 @@ def _set_triple(mono, p, triple):
 
 
 def _append_right(v, terms, name, idx):
-    """All monomials multiplied by one letter on the right."""
+    """All monomials multiplied by one letter on the right; callers validate it."""
     p = idx - 1
     out = {}
     if name == "m" or name == "mi":
@@ -73,21 +73,20 @@ def _append_right(v, terms, name, idx):
                 acc(out, _set_triple(mono, p, (a, b - 1, c + 1)), f * qpow(k * (c + 1)))
                 acc(out, _set_triple(mono, p, (a, b - 1, c - 1)), -f * qpow(k * (c - 1)))
         return out
-    if name == "d":
-        for mono, coeff in terms.items():
-            a, b, c = mono[p]
-            if a == 0:
-                acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff * qpow(-k * c))
-            else:
-                f = coeff * qpow(-k * c) * _QD
-                acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f)
-                acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f)
-        return out
-    raise ValueError("unknown generator '%s%s'" % (name, idx))
+    # name == "d"
+    for mono, coeff in terms.items():
+        a, b, c = mono[p]
+        if a == 0:
+            acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff * qpow(-k * c))
+        else:
+            f = coeff * qpow(-k * c) * _QD
+            acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f)
+            acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f)
+    return out
 
 
 def _append_left(v, terms, name, idx):
-    """All monomials multiplied by one letter on the left."""
+    """All monomials multiplied by one letter on the left; callers validate it."""
     p = idx - 1
     out = {}
     if name == "m" or name == "mi":
@@ -108,17 +107,16 @@ def _append_left(v, terms, name, idx):
                 acc(out, _set_triple(mono, p, (0, b - 1, c + 1)), f * qpow(-k * (b - 1)))
                 acc(out, _set_triple(mono, p, (0, b - 1, c - 1)), -f * qpow(k * (b - 1)))
         return out
-    if name == "d":
-        for mono, coeff in terms.items():
-            a, b, c = mono[p]
-            if a == 0:
-                acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff)
-            else:
-                f = coeff * _QD
-                acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f * qpow(k * a))
-                acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f * qpow(-k * a))
-        return out
-    raise ValueError("unknown generator '%s%s'" % (name, idx))
+    # name == "d"
+    for mono, coeff in terms.items():
+        a, b, c = mono[p]
+        if a == 0:
+            acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff)
+        else:
+            f = coeff * _QD
+            acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f * qpow(k * a))
+            acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f * qpow(-k * a))
+    return out
 
 
 # Products of two triples at one index, keyed by (kappa, t1, t2): a tuple of
@@ -283,6 +281,8 @@ class WeylElement(Terms):
 
 def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
     """Canonical form of coeff * word, rewriting from one chosen end."""
+    for name, idx in word:
+        validate_letter(v, name, idx)
     if isinstance(coeff, int):
         coeff = scalars.from_int(coeff)
     if coeff.is_zero:
@@ -299,13 +299,11 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
     return WeylElement(v, terms)
 
 
-def reduce_expr(v, expr, strategy="left"):
+def reduce_expr(v, expr):
     """Canonical form of a free expression over the d/x/m alphabet."""
-    for name, idx in expr.letters_used():
-        validate_letter(v, name, idx)
     out = {}
     for word, c in expr.terms.items():
-        for m, s in reduce_word(v, word, c, strategy).terms.items():
+        for m, s in reduce_word(v, word, c).terms.items():
             acc(out, m, s)
     return WeylElement(v, out)
 

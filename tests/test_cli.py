@@ -46,6 +46,14 @@ def test_apply_morphisms(capsys):
         capsys, ["apply", "x1", "--op", "omega", "--variant", "jmath", "--rank", "2"]
     )
     assert rc == 0 and out == "d1\n"
+    rc, out, _ = run(
+        capsys, ["apply", "K1 B2", "--op", "Psi", "--variant", "jmath", "--rank", "2"]
+    )
+    assert rc == 0 and out == "B2 K4\n"
+    rc, out, _ = run(
+        capsys, ["apply", "x1 m2", "--op", "psi", "--variant", "jmath", "--rank", "2"]
+    )
+    assert rc == 0 and out == "q^-1*x1 m2^-1\n"
 
 
 def test_act(capsys):

@@ -110,3 +110,10 @@ def test_scalar_value():
         assert (unit - unit).scalar_value() is scalars.ZERO
         assert gen.scalar_value() is None
         assert (unit + gen).scalar_value() is None
+
+
+def test_free_expressions_render_in_letter_tags():
+    assert str(FreeExpr.zero()) == "0"
+    assert str(FreeExpr.one()) == "1"
+    assert str(FreeExpr.letter("mi", 2)) == "m2^-1"
+    assert str(FreeExpr.letter("Ki", 3).scale(qpow(1) + qpow(-1))) == "(q + q^-1)*K3^-1"

@@ -117,7 +117,7 @@ def test_iqg_round_trip_random():
         for _ in range(rng.randint(0, 4)):
             word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
             expr = expr + FreeExpr.word(word, qpow(rng.randint(-3, 3)))
-        assert parse(iqg.iexpr_str(expr), "iqg", I2) == expr
+        assert parse(str(expr), "iqg", I2) == expr
 
 
 def test_parse_errors():

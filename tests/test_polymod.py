@@ -337,7 +337,6 @@ def test_action_tables_are_bounded(monkeypatch):
     cap = 4
     monkeypatch.setattr(polymod, "_ACT_CACHE_MAX", cap)
     monkeypatch.setattr(polymod, "_ACT_CACHE", {})
-    monkeypatch.setattr(polymod, "_support_of", {})
     rng = random.Random(5)
     letters = generator_letters(J2)
     for _ in range(30):
@@ -347,7 +346,6 @@ def test_action_tables_are_bounded(monkeypatch):
             f = mono(J2, a, qpow(1))
             assert act(J2, elem, f) == act_word(J2, word, f)
             assert all(len(t) <= cap for t in polymod._ACT_CACHE.values())
-            assert len(polymod._support_of) <= cap
 
 
 def test_polynomials_are_unhashable():

@@ -265,6 +265,14 @@ def test_errors():
         gen(J2, "x", 1) ** -1
     with pytest.raises(ValueError, match="unknown strategy"):
         reduce_word(J2, (("x", 1),), strategy="middle")
+    # every letter is validated, whichever end the rewriting starts from
+    for strategy in ("left", "right"):
+        with pytest.raises(ValueError, match="index out of range"):
+            reduce_word(J2, (("x", 0),), strategy=strategy)
+        with pytest.raises(ValueError, match="index out of range"):
+            reduce_word(J2, (("d", 1), ("x", 4)), strategy=strategy)
+        with pytest.raises(ValueError, match="unknown generator"):
+            reduce_word(J2, (("y", 1),), strategy=strategy)
     assert unit_mono(J1) == ((0, 0, 0), (0, 0, 0))
 
 
