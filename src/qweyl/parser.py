@@ -14,12 +14,17 @@ negative exponents are only meaningful on the invertible letters m and
 K.  Rationals are spelled with '/', q-powers as q^k.  Scalars stay
 QScalars until they meet an element, and a scalar result is lifted into
 the context's term type through Terms.constant.
+
+In the weyl context a run of letters within a term, juxtaposed or joined
+by '*', is read as one word and reduced by one reduce_word call, with the
+scalar factor before it, if any, as its coefficient.  A non-letter factor,
+a '/' or the end of the term ends the run.
 """
 
 from . import iqg, scalars
 from .expressions import FreeExpr, qcomm
 from .polymod import PolyElement
-from .weyl import WeylElement
+from .weyl import WeylElement, reduce_word, validate_letter
 
 # context -> (generator letters, the zero of its term type for a variant)
 _CONTEXTS = {
@@ -100,7 +105,7 @@ class _Parser:
         return self.zero.constant(x) if isinstance(x, scalars.QScalar) else x
 
     def letter(self, name, idx, power, pos):
-        """A single generator raised to an integer power."""
+        """A single generator raised to an integer power; a word (list) for weyl."""
         v = self.variant
         if self.context == "poly":
             if power < 0:
@@ -118,15 +123,14 @@ class _Parser:
             base = name + "i"
         elif power < 0:
             raise ParseError("negative power of %s%d" % (name, idx), pos)
+        check = iqg.validate_iletter if self.context == "iqg" else validate_letter
         try:
-            if self.context == "iqg":
-                iqg.validate_iletter(v, base, idx)
-                gen = FreeExpr.letter(base, idx)
-            else:
-                gen = WeylElement.generator(v, base, idx)
+            check(v, base, idx)
         except ValueError as err:
             raise ParseError(str(err), pos) from None
-        return gen ** abs(power)
+        if self.context == "iqg":
+            return FreeExpr.letter(base, idx) ** abs(power)
+        return [(base, idx)] * abs(power)
 
     def parse(self):
         out = self.expr()
@@ -151,25 +155,37 @@ class _Parser:
 
     def term(self):
         out = None
+        run = None  # weyl letters read since the last other factor
         op = "*"
         while True:
             tok = self.peek()
+            started = out is not None or run is not None
             if tok[0] in ("*", "/"):
-                if out is None:
+                if not started:
                     raise ParseError("unexpected %r" % tok[1], tok[2])
                 op = self.take()[0]
                 tok = self.peek()
-            elif out is not None:
+            elif started:
                 op = "*"
             if tok[0] not in ("NAME", "INT", "(", "["):
-                if out is None or op != "*":
+                if not started or op != "*":
                     raise ParseError(
                         "expected an expression, found %r"
                         % (tok[1] or "end of input"),
                         tok[2],
                     )
-                return out
+                return self.flush(out, run)
             factor = self.factor()
+            if isinstance(factor, list):
+                if op == "*":
+                    if run is None:
+                        run = factor
+                    else:
+                        run.extend(factor)
+                    continue
+                factor = reduce_word(self.variant, factor)
+            out = self.flush(out, run)
+            run = None
             if out is None:
                 out = factor
             elif op == "*":
@@ -178,6 +194,16 @@ class _Parser:
                 out = out * self.inverse(
                     factor, "division by a non-scalar expression", tok[2]
                 )
+
+    def flush(self, out, run):
+        """out times the word run, a scalar out being its coefficient."""
+        if run is None:
+            return out
+        if out is None:
+            return reduce_word(self.variant, run)
+        if isinstance(out, scalars.QScalar):
+            return reduce_word(self.variant, run, out)
+        return out * reduce_word(self.variant, run)
 
     def factor(self):
         tok = self.peek()

@@ -9,6 +9,8 @@ With k = kappa(i), the same-index rewrites are
 
 A canonical monomial stores one (xexp, dexp, mexp) triple per index with
 min(xexp, dexp) = 0 and mexp in Z; an element maps monomials to scalars.
+The rewrites act at one index, so words are reduced and monomials
+multiplied one index at a time.
 """
 
 from . import scalars
@@ -26,17 +28,14 @@ def unit_mono(v):
     return ((0, 0, 0),) * (v.rank + 1)
 
 
+# the triple of each letter at its own index
+_LETTER_TRIPLES = {"d": (0, 1, 0), "x": (1, 0, 0), "m": (0, 0, 1), "mi": (0, 0, -1)}
+
+
 def letter_mono(v, name, idx):
     validate_letter(v, name, idx)
-    if name == "d":
-        t = (0, 1, 0)
-    elif name == "x":
-        t = (1, 0, 0)
-    elif name == "m":
-        t = (0, 0, 1)
-    else:
-        t = (0, 0, -1)
-    return _set_triple(unit_mono(v), idx - 1, t)
+    unit = unit_mono(v)
+    return unit[: idx - 1] + (_LETTER_TRIPLES[name],) + unit[idx:]
 
 
 def validate_letter(v, name, idx):
@@ -48,74 +47,58 @@ def validate_letter(v, name, idx):
         )
 
 
-def _set_triple(mono, p, triple):
-    return mono[:p] + (triple,) + mono[p + 1 :]
-
-
-def _append_right(v, terms, name, idx):
-    """All monomials multiplied by one letter on the right; callers validate it."""
-    p = idx - 1
-    out = {}
+def _append_right(k, terms, name):
+    """At one index of weight k: the terms {triple: scalar} times a letter."""
     if name == "m" or name == "mi":
         s = 1 if name == "m" else -1
-        for mono, coeff in terms.items():
-            a, b, c = mono[p]
-            acc(out, _set_triple(mono, p, (a, b, c + s)), coeff)
-        return out
-    k = v.kappa(idx)
+        return {(a, b, c + s): coeff for (a, b, c), coeff in terms.items()}
+    out = {}
     if name == "x":
-        for mono, coeff in terms.items():
-            a, b, c = mono[p]
+        for (a, b, c), coeff in terms.items():
             if b == 0:
-                acc(out, _set_triple(mono, p, (a + 1, 0, c)), coeff * qpow(k * c))
+                acc(out, (a + 1, 0, c), coeff * qpow(k * c))
             else:
                 f = coeff * _QD
-                acc(out, _set_triple(mono, p, (a, b - 1, c + 1)), f * qpow(k * (c + 1)))
-                acc(out, _set_triple(mono, p, (a, b - 1, c - 1)), -f * qpow(k * (c - 1)))
+                acc(out, (a, b - 1, c + 1), f * qpow(k * (c + 1)))
+                acc(out, (a, b - 1, c - 1), -f * qpow(k * (c - 1)))
         return out
     # name == "d"
-    for mono, coeff in terms.items():
-        a, b, c = mono[p]
+    for (a, b, c), coeff in terms.items():
         if a == 0:
-            acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff * qpow(-k * c))
+            acc(out, (0, b + 1, c), coeff * qpow(-k * c))
         else:
             f = coeff * qpow(-k * c) * _QD
-            acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f)
-            acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f)
+            acc(out, (a - 1, 0, c + 1), f)
+            acc(out, (a - 1, 0, c - 1), -f)
     return out
 
 
-def _append_left(v, terms, name, idx):
-    """All monomials multiplied by one letter on the left; callers validate it."""
-    p = idx - 1
-    out = {}
+def _append_left(k, terms, name):
+    """At one index of weight k: a letter times the terms {triple: scalar}."""
     if name == "m" or name == "mi":
         s = 1 if name == "m" else -1
-        k = v.kappa(idx)
-        for mono, coeff in terms.items():
-            a, b, c = mono[p]
-            acc(out, _set_triple(mono, p, (a, b, c + s)), coeff * qpow(s * k * (a - b)))
-        return out
-    k = v.kappa(idx)
+        return {
+            (a, b, c + s): coeff * qpow(s * k * (a - b))
+            for (a, b, c), coeff in terms.items()
+        }
+    out = {}
     if name == "x":
-        for mono, coeff in terms.items():
-            a, b, c = mono[p]
+        for (a, b, c), coeff in terms.items():
             if b == 0:
-                acc(out, _set_triple(mono, p, (a + 1, 0, c)), coeff)
+                acc(out, (a + 1, 0, c), coeff)
             else:
                 f = coeff * _QD
-                acc(out, _set_triple(mono, p, (0, b - 1, c + 1)), f * qpow(-k * (b - 1)))
-                acc(out, _set_triple(mono, p, (0, b - 1, c - 1)), -f * qpow(k * (b - 1)))
+                acc(out, (0, b - 1, c + 1), f * qpow(-k * (b - 1)))
+                acc(out, (0, b - 1, c - 1), -f * qpow(k * (b - 1)))
         return out
     # name == "d"
-    for mono, coeff in terms.items():
-        a, b, c = mono[p]
+    for (a, b, c), coeff in terms.items():
         if a == 0:
-            acc(out, _set_triple(mono, p, (0, b + 1, c)), coeff)
+            acc(out, (0, b + 1, c), coeff)
         else:
             f = coeff * _QD
-            acc(out, _set_triple(mono, p, (a - 1, 0, c + 1)), f * qpow(k * a))
-            acc(out, _set_triple(mono, p, (a - 1, 0, c - 1)), -f * qpow(-k * a))
+            acc(out, (a - 1, 0, c + 1), f * qpow(k * a))
+            acc(out, (a - 1, 0, c - 1), -f * qpow(-k * a))
     return out
 
 
@@ -129,32 +112,31 @@ _products = {}
 
 def _index_product(v, p, t1, t2):
     """The triple t1 times the triple t2 at index p + 1."""
-    key = (v.kappa(p + 1), t1, t2)
+    k = v.kappa(p + 1)
+    key = (k, t1, t2)
     pairs = _products.get(key)
     if pairs is None:
-        unit = unit_mono(v)
-        terms = {_set_triple(unit, p, t1): scalars.ONE}
-        for name, idx in mono_word(_set_triple(unit, p, t2)):
-            terms = _append_right(v, terms, name, idx)
+        terms = {t1: scalars.ONE}
+        for name in _triple_word(t2):
+            terms = _append_right(k, terms, name)
         # a scalar equal to 1 is stored as scalars.ONE itself, which the
         # product loop skips by identity
-        pairs = tuple((m[p], scalars.ONE if c == 1 else c) for m, c in terms.items())
+        pairs = tuple((t, scalars.ONE if c == 1 else c) for t, c in terms.items())
         scalars.remember(_products, key, pairs, _PRODUCT_TABLE_MAX)
     return pairs
 
 
+def _triple_word(t):
+    """Canonical letter names of one index's triple: x, then d, then m."""
+    a, b, c = t
+    return ("x",) * a + ("d",) * b + (("m",) * c if c > 0 else ("mi",) * -c)
+
+
 def mono_word(mono):
     """Canonical letter word of a monomial: per index x, then d, then m."""
-    word = []
-    for p, (a, b, c) in enumerate(mono):
-        i = p + 1
-        word.extend((("x", i),) * a)
-        word.extend((("d", i),) * b)
-        if c > 0:
-            word.extend((("m", i),) * c)
-        elif c < 0:
-            word.extend((("mi", i),) * (-c))
-    return tuple(word)
+    return tuple(
+        (name, p + 1) for p, t in enumerate(mono) for name in _triple_word(t)
+    )
 
 
 def _mono_str(mono):
@@ -280,23 +262,55 @@ class WeylElement(Terms):
 
 
 def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
-    """Canonical form of coeff * word, rewriting from one chosen end."""
+    """Canonical form of coeff * word, rewriting from one chosen end.
+
+    Letters at distinct indices commute, so each index's subword is reduced
+    on its own triples and the results are multiplied out at the end.
+    """
+    if strategy == "left":
+        rule, letters = _append_right, word
+    elif strategy == "right":
+        rule, letters = _append_left, reversed(word)
+    else:
+        raise ValueError("unknown strategy %r" % (strategy,))
     for name, idx in word:
         validate_letter(v, name, idx)
     if isinstance(coeff, int):
         coeff = scalars.from_int(coeff)
     if coeff.is_zero:
         return WeylElement(v, {})
-    terms = {unit_mono(v): coeff}
-    if strategy == "left":
-        for name, idx in word:
-            terms = _append_right(v, terms, name, idx)
-    elif strategy == "right":
-        for name, idx in reversed(word):
-            terms = _append_left(v, terms, name, idx)
-    else:
-        raise ValueError("unknown strategy %r" % (strategy,))
-    return WeylElement(v, terms)
+    subwords = {}  # index -> its letter names, in rewrite order
+    for name, idx in letters:
+        names = subwords.get(idx)
+        if names is None:
+            subwords[idx] = [name]
+        else:
+            names.append(name)
+    one = scalars.ONE
+    base = list(unit_mono(v))  # the triples of the one-term indices
+    wide = []  # (position, triples) of the indices with several terms
+    for idx, names in subwords.items():
+        # the first letter rewrites the unit triple to its own triple
+        terms = {_LETTER_TRIPLES[names[0]]: one}
+        k = v.kappa(idx)
+        for name in names[1:]:
+            terms = rule(k, terms, name)
+        if len(terms) == 1:
+            ((t, s),) = terms.items()
+            base[idx - 1] = t
+            if s is not one:
+                coeff = coeff * s
+        else:
+            wide.append((idx - 1, terms))
+    out = {tuple(base): coeff}
+    for p, terms in wide:
+        # distinct indices: no two (monomial, triple) pairs give one monomial
+        out = {
+            m[:p] + (t,) + m[p + 1 :]: c if s is one else c * s
+            for m, c in out.items()
+            for t, s in terms.items()
+        }
+    return WeylElement(v, out)
 
 
 def reduce_expr(v, expr):

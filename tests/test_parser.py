@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qweyl import iqg, parser, scalars
-from qweyl.expressions import FreeExpr
+from qweyl.expressions import FreeExpr, qcomm
 from qweyl.parser import ParseError, parse
 from qweyl.polymod import PolyElement
 from qweyl.satake import Variant
@@ -165,3 +165,107 @@ def test_negative_k_powers():
     assert parse("(2)^-1", "weyl", J2) == WeylElement.unit(J2).scale(
         scalars.from_frac(1, 2)
     )
+
+
+
+def _random_weyl_expr(rng, v, depth):
+    """A random weyl text and its value, built factor by factor."""
+    texts = []
+    value = WeylElement(v, {})
+    for n in range(rng.randint(1, 3 if depth else 2)):
+        text, term = _random_weyl_term(rng, v, depth)
+        sign = rng.choice("+-") if n else rng.choice(("", "-"))
+        texts.append("%s %s" % (sign, text) if sign else text)
+        value = value - term if sign == "-" else value + term
+    return " ".join(texts), value
+
+
+def _random_weyl_term(rng, v, depth):
+    parts = []
+    value = WeylElement.unit(v)
+    for n in range(rng.randint(1, 6 if depth else 2)):
+        if n:
+            join = rng.choice((" ", " ", " * ", " / "))
+            if join == " / ":
+                den = rng.randint(2, 5)
+                parts.append(" / %d " % den)
+                value = value.scale(scalars.from_frac(1, den))
+            else:
+                parts.append(join)
+        text, factor = _random_weyl_factor(rng, v, depth)
+        parts.append(text)
+        value = value * factor
+    return "".join(parts), value
+
+
+def _random_weyl_factor(rng, v, depth):
+    roll = rng.random()
+    if roll < 0.65 or (depth == 0 and roll < 0.9):
+        name = rng.choice(("d", "x", "m"))
+        idx = rng.choice(v.weyl_indices)
+        power = rng.choice((None, None, None, 0, 2) if name != "m" else (None, -2, -1, 0, 2))
+        gen = WeylElement.generator(v, "mi" if (power or 0) < 0 else name, idx)
+        if power is None:
+            return "%s%d" % (name, idx), gen
+        return "%s%d^%d" % (name, idx, power), gen ** abs(power)
+    if roll < 0.75:
+        k = rng.randint(-3, 3)
+        return "q^%d" % k, qpow(k)
+    if roll < 0.85 or depth == 0:
+        c = rng.randint(0, 4)
+        return "%d" % c, scalars.from_int(c)
+    if roll < 0.93:
+        text, value = _random_weyl_expr(rng, v, depth - 1)
+        return "(%s)" % text, value
+    lhs, a = _random_weyl_term(rng, v, depth - 1)
+    rhs, b = _random_weyl_term(rng, v, depth - 1)
+    e = rng.choice((1, -1))
+    return "[%s, %s]_%s" % (lhs, rhs, "+" if e == 1 else "-"), qcomm(a, b, e)
+
+
+def test_weyl_texts_match_factor_by_factor_products_random():
+    rng = random.Random(60221)
+    for v in (J2, I2, Variant("jmath", 1)):
+        for _ in range(60):
+            text, value = _random_weyl_expr(rng, v, depth=1)
+            assert parse(text, "weyl", v) == value, text
+    # fixed shapes: leading and infix scalars, powers, a run broken by '/'
+    x1, d1 = WeylElement.generator(J2, "x", 1), WeylElement.generator(J2, "d", 1)
+    m1i = WeylElement.generator(J2, "mi", 1)
+    third = scalars.from_frac(1, 3)
+    assert parse("2/3 x1 d1", "weyl", J2) == (x1 * d1).scale(2 * third)
+    assert parse("q^-2 x1*d1 m1^-2", "weyl", J2) == (x1 * d1 * m1i * m1i).scale(qpow(-2))
+    assert parse("x1 / 3 d1", "weyl", J2) == (x1 * d1).scale(third)
+    assert parse("x1^0 d1 x1^0", "weyl", J2) == d1
+    assert parse("x1^0", "weyl", J2) == WeylElement.unit(J2)
+    assert parse("0 x1 d1", "weyl", J2) == WeylElement(J2, {})
+
+def test_errors_inside_a_run_keep_their_position():
+    for text, message, pos in (
+        ("x1 d2 x9", "index out of range: x9 (indices run 1..3)", 6),
+        ("x1 d1^-1", "negative power of d1", 3),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text, "weyl", J2)
+        assert str(info.value) == "%s (at position %d)" % (message, pos)
+        assert info.value.pos == pos
+
+
+def test_a_run_of_letters_is_reduced_once(monkeypatch):
+    calls = {"mul": 0, "reduce": 0}
+    mul, reduce = WeylElement.__mul__, parser.reduce_word
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_reduce(*args, **kwargs):
+        calls["reduce"] += 1
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counting_mul)
+    monkeypatch.setattr(parser, "reduce_word", counting_reduce)
+    for text in ("x1 d1 m2^-1 x2^2 d3", "2/3 q^-1 x1*d1 x1^3"):
+        calls.update(mul=0, reduce=0)
+        parse(text, "weyl", J2)
+        assert calls == {"mul": 0, "reduce": 1}, text

@@ -376,3 +376,69 @@ def test_word_images_start_from_the_scaled_first_image():
                         expected = expected * spec.image(letter)
                     got = spec.apply_free(FreeExpr.word(word, coeff))
                     assert got == expected, (spec.label, word, coeff)
+
+
+def test_strategy_is_checked_before_the_zero_shortcut():
+    for coeff in (0, 1, scalars.ZERO):
+        with pytest.raises(ValueError, match="unknown strategy 'middle'"):
+            reduce_word(J2, (("x", 1),), coeff, strategy="middle")
+
+
+def _random_coeff(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return qpow(rng.randint(-4, 4))
+    if kind == 2:
+        return scalars.from_frac(rng.randint(-9, 9) or 1, rng.randint(2, 9))
+    return rng.choice((0, scalars.ZERO))
+
+
+def test_reduce_word_matches_generator_products_random():
+    # the reference multiplies the letters one at a time through __mul__
+    rng = random.Random(4111)
+    top = 0
+    for kind in ("jmath", "imath"):
+        for rank in (1, 2, 3, 4):
+            v = Variant(kind, rank)
+            letters = generator_letters(v)
+            # words over few indices give long same-index subwords
+            for strategy in ("left", "right"):
+                for _ in range(12):
+                    pool = rng.sample(list(v.weyl_indices), min(2, rank + 1))
+                    if rng.random() < 0.5:
+                        pool.append(rank + 1)
+                    word = tuple(
+                        (rng.choice(weyl.WEYL_LETTER_NAMES), rng.choice(pool))
+                        if rng.random() < 0.8
+                        else rng.choice(letters)
+                        for _ in range(rng.randint(0, 16))
+                    )
+                    top += ("x", rank + 1) in word or ("d", rank + 1) in word
+                    coeff = _random_coeff(rng)
+                    expect = WeylElement.unit(v)
+                    for name, i in word:
+                        expect = expect * gen(v, name, i)
+                    expect = expect.scale(coeff)
+                    got = reduce_word(v, word, coeff, strategy)
+                    assert got == expect, (v, word, coeff, strategy)
+                    assert all(not c.is_zero for c in got.terms.values())
+    assert top > 50
+
+
+def test_index_product_matches_the_left_rule(monkeypatch):
+    # _index_product is filled from _append_right; replay t1 t2 with the
+    # other one-index rule, from the right end
+    monkeypatch.setattr(weyl, "_products", {})
+    triples = list(_triples(2))
+    for v in (J1, I2):
+        for p in range(v.rank + 1):
+            k = v.kappa(p + 1)
+            for t1 in triples:
+                for t2 in triples:
+                    word = weyl._triple_word(t1) + weyl._triple_word(t2)
+                    terms = {(0, 0, 0): scalars.ONE}
+                    for name in reversed(word):
+                        terms = weyl._append_left(k, terms, name)
+                    assert dict(weyl._index_product(v, p, t1, t2)) == terms
