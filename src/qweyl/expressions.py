@@ -170,12 +170,6 @@ class FreeExpr(Terms):
             out = out * self
         return out
 
-    def letters_used(self):
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return out
-
     def __str__(self):
         """Render in letter tags, inverse letters spelled as powers (K1^-1)."""
         words = sorted(self.terms, reverse=True)

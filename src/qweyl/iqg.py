@@ -95,8 +95,9 @@ def phi_spec(v):
 
 def phi(v, expr):
     """Evaluate a free expression in B/K letters inside the Weyl algebra."""
-    for name, idx in expr.letters_used():
-        validate_iletter(v, name, idx)
+    for word in expr.terms:
+        for name, idx in word:
+            validate_iletter(v, name, idx)
     return phi_spec(v).apply_free(expr)
 
 
@@ -112,8 +113,12 @@ class ISubst(EndoSpec):
         """Free composition: substitute every letter, reverse words if anti."""
         return FreeExpr(self._collect(expr.terms.items()))
 
+    # free images in, free images out: EndoSpec.apply_free would wrap the
+    # free terms in a WeylElement
+    apply_free = apply
 
-def fuse(h, s, label=""):
+
+def fuse(h, s):
     """The table of h o s, where h maps letters to Weyl elements.
 
     Exact on free expressions, so composites of substitutions can be walked
@@ -125,7 +130,7 @@ def fuse(h, s, label=""):
         images,
         antimultiplicative=h.antimultiplicative != s.antimultiplicative,
         bar_twist=h.bar_twist != s.bar_twist,
-        label=label or "%s.%s" % (h.label, s.label),
+        label="%s.%s" % (h.label, s.label),
     )
 
 
@@ -402,6 +407,11 @@ def check_intertwine(v, e):
     def sub(t):
         return tau_subst(v, *t)
 
+    @functools.cache
+    def ph_sub(t):
+        """phi o tau_t, fused once per check; no deeper prefix is kept."""
+        return fuse(ph, sub(t))
+
     for kind in BRAID_KINDS:
         for i in v.braid_indices:
             t = operators.braid_op(v, i, e, kind)
@@ -410,7 +420,7 @@ def check_intertwine(v, e):
                 aggregate_check(
                     "intertwine/T-tau/%s/i=%d" % (kind, i),
                     "%s o phi = phi o %s on letters" % (t.label, s.label),
-                    pairs(after_phi(t), fuse(ph, s).image),
+                    pairs(after_phi(t), ph_sub((i, e, kind)).image),
                 )
             )
 
@@ -427,7 +437,7 @@ def check_intertwine(v, e):
     if v.kind == "jmath" and v.rank >= 2:
         r = v.rank
         mname = "m" if e == 1 else "mi"
-        lhs = ph.apply_free(sub((r, e, "prime")).image(("B", r - 1)))
+        lhs = ph_sub((r, e, "prime")).image(("B", r - 1))
         rhs = reduce_word(
             v, ((mname, r), (mname, r + 1), ("x", r), ("d", r - 1)), qpow(e)
         )
@@ -449,8 +459,8 @@ def check_intertwine(v, e):
         )
 
     def compose(word):
-        h = ph
-        for t in word:
+        h = ph_sub(word[0]) if word else ph
+        for t in word[1:]:
             h = fuse(h, sub(t))
         return h
 
@@ -468,13 +478,13 @@ def check_intertwine(v, e):
     for kind in BRAID_KINDS:
         mark = "'" if kind == "prime" else "''"
         for i in v.braid_indices:
-            tau = sub((i, e, kind))
+            t = (i, e, kind)
             checks.append(
                 aggregate_check(
                     "intertwine/tau-Omega/%s/i=%d" % (kind, i),
                     "tau%s_%d o Omega = Omega o tau%s_%d through phi"
                     % (mark, i, mark, i),
-                    pairs(fuse(fuse(ph, tau), om_i).image, fuse(ph_om, tau).image),
+                    pairs(fuse(ph_sub(t), om_i).image, fuse(ph_om, sub(t)).image),
                 )
             )
 

@@ -11,30 +11,28 @@ letters B/K, polynomial letters X):
 
 Juxtaposition multiplies; '/' divides by a scalar-valued expression;
 negative exponents are only meaningful on the invertible letters m and
-K.  Rationals are spelled with '/', q-powers as q^k.  Scalars stay
-QScalars until they meet an element, and a scalar result is lifted into
-the context's term type through Terms.constant.
+K.  Rationals are spelled with '/', q-powers as q^k.
 
-In the weyl context a run of letters within a term, juxtaposed or joined
-by '*', is read as one word and reduced by one reduce_word call, with the
-scalar factor before it, if any, as its coefficient.  A non-letter factor,
-a '/' or the end of the term ends the run.
+Every context reads a term by one rule: a term is one scalar coefficient
+times its non-scalar factors in order, and each maximal run of letters,
+juxtaposed or joined by '*', is one word.  Scalars commute with
+everything, so each scalar factor and each '/' joins the coefficient
+wherever it stands.  The context turns coeff * word into an element in
+one place (_Parser.word): one reduce_word call for weyl, one free word for
+iqg, one monomial for poly.  A scalar result stays a QScalar until it meets
+an element, and is lifted as the empty word.
 """
 
 from . import iqg, scalars
 from .expressions import FreeExpr, qcomm
 from .polymod import PolyElement
-from .weyl import WeylElement, reduce_word, validate_letter
+from .weyl import reduce_word, validate_letter
 
-# context -> (generator letters, the zero of its term type for a variant)
-_CONTEXTS = {
-    "weyl": ("dxm", WeylElement),
-    "iqg": ("BK", lambda v: FreeExpr()),
-    "poly": ("X", lambda v: PolyElement(v, {})),
-}
+# context -> its generator letters
+_CONTEXTS = {"weyl": "dxm", "iqg": "BK", "poly": "X"}
 
 # Largest |k| accepted in '^k'.  A power of a sum or of a letter is expanded
-# eagerly ((q+1)^k has k + 1 coefficients, x1^k is a product of k factors), so
+# eagerly ((q+1)^k has k + 1 coefficients, x1^k is a word of k letters), so
 # unbounded input could exhaust memory.
 MAX_EXPONENT = 1000
 
@@ -84,9 +82,7 @@ class _Parser:
         self.k = 0
         self.context = context
         self.variant = variant
-        # the zero of the context's term type lifts scalars through constant
-        self.gen_names, zero = _CONTEXTS[context]
-        self.zero = zero(variant)
+        self.gen_names = _CONTEXTS[context]
 
     def peek(self):
         return self.tokens[self.k]
@@ -101,11 +97,27 @@ class _Parser:
         return tok
 
     def lift(self, x):
-        """x as an element of the context's term type."""
-        return self.zero.constant(x) if isinstance(x, scalars.QScalar) else x
+        """x, a scalar, a word or an element, as an element of the context."""
+        if isinstance(x, scalars.QScalar):
+            return self.word([], x)
+        if isinstance(x, list):
+            return self.word(x, scalars.ONE)
+        return x
+
+    def word(self, letters, coeff):
+        """coeff times the word of letters, as an element of the context."""
+        v = self.variant
+        if self.context == "weyl":
+            return reduce_word(v, letters, coeff)
+        if self.context == "iqg":
+            return FreeExpr.word(letters, coeff)
+        exps = [0] * (v.rank + 1)  # X letters commute
+        for _, idx in letters:
+            exps[idx - 1] += 1
+        return PolyElement.monomial(v, exps, coeff)
 
     def letter(self, name, idx, power, pos):
-        """A single generator raised to an integer power; a word (list) for weyl."""
+        """The word of a generator raised to an integer power, checked at pos."""
         v = self.variant
         if self.context == "poly":
             if power < 0:
@@ -115,22 +127,17 @@ class _Parser:
                     "index out of range: X%d (indices run 1..%d)" % (idx, v.rank + 1),
                     pos,
                 )
-            exps = [0] * (v.rank + 1)
-            exps[idx - 1] = power
-            return PolyElement.monomial(v, exps)
-        base = name
-        if power < 0 and name in ("m", "K"):
-            base = name + "i"
-        elif power < 0:
-            raise ParseError("negative power of %s%d" % (name, idx), pos)
-        check = iqg.validate_iletter if self.context == "iqg" else validate_letter
-        try:
-            check(v, base, idx)
-        except ValueError as err:
-            raise ParseError(str(err), pos) from None
-        if self.context == "iqg":
-            return FreeExpr.letter(base, idx) ** abs(power)
-        return [(base, idx)] * abs(power)
+        else:
+            if power < 0 and name in ("m", "K"):
+                name += "i"
+            elif power < 0:
+                raise ParseError("negative power of %s%d" % (name, idx), pos)
+            check = iqg.validate_iletter if self.context == "iqg" else validate_letter
+            try:
+                check(v, name, idx)
+            except ValueError as err:
+                raise ParseError(str(err), pos) from None
+        return [(name, idx)] * abs(power)
 
     def parse(self):
         out = self.expr()
@@ -154,56 +161,38 @@ class _Parser:
         return out
 
     def term(self):
-        out = None
-        run = None  # weyl letters read since the last other factor
+        tok = self.peek()
+        if tok[0] in ("*", "/"):
+            raise ParseError("unexpected %r" % tok[1], tok[2])
+        coeff = scalars.ONE
+        factors = []  # the non-scalar factors in order, a run of letters as one word
         op = "*"
         while True:
-            tok = self.peek()
-            started = out is not None or run is not None
-            if tok[0] in ("*", "/"):
-                if not started:
-                    raise ParseError("unexpected %r" % tok[1], tok[2])
-                op = self.take()[0]
-                tok = self.peek()
-            elif started:
-                op = "*"
-            if tok[0] not in ("NAME", "INT", "(", "["):
-                if not started or op != "*":
-                    raise ParseError(
-                        "expected an expression, found %r"
-                        % (tok[1] or "end of input"),
-                        tok[2],
-                    )
-                return self.flush(out, run)
+            pos = self.peek()[2]
             factor = self.factor()
-            if isinstance(factor, list):
-                if op == "*":
-                    if run is None:
-                        run = factor
-                    else:
-                        run.extend(factor)
-                    continue
-                factor = reduce_word(self.variant, factor)
-            out = self.flush(out, run)
-            run = None
-            if out is None:
-                out = factor
-            elif op == "*":
-                out = out * factor
+            if op == "/":
+                factor = self.inverse(factor, "division by a non-scalar expression", pos)
+            if isinstance(factor, scalars.QScalar):
+                coeff = coeff * factor
+            elif isinstance(factor, list) and factors and isinstance(factors[-1], list):
+                factors[-1] += factor
             else:
-                out = out * self.inverse(
-                    factor, "division by a non-scalar expression", tok[2]
-                )
-
-    def flush(self, out, run):
-        """out times the word run, a scalar out being its coefficient."""
-        if run is None:
-            return out
+                factors.append(factor)
+            kind = self.peek()[0]
+            if kind in ("*", "/"):
+                op = self.take()[0]
+            elif kind in ("NAME", "INT", "(", "["):
+                op = "*"
+            else:
+                break
+        out = None
+        for f in factors:
+            if isinstance(f, list):
+                f, coeff = self.word(f, coeff), scalars.ONE
+            out = f if out is None else out * f
         if out is None:
-            return reduce_word(self.variant, run)
-        if isinstance(out, scalars.QScalar):
-            return reduce_word(self.variant, run, out)
-        return out * reduce_word(self.variant, run)
+            return coeff
+        return out if coeff is scalars.ONE else out.scale(coeff)
 
     def factor(self):
         tok = self.peek()
@@ -253,12 +242,13 @@ class _Parser:
 
     def inverse(self, x, non_scalar, pos):
         """1/c for the scalar c that x equals; non_scalar is the error otherwise."""
-        c = self.lift(x).scalar_value()
-        if c is None:
-            raise ParseError(non_scalar, pos)
-        if not c:
+        if not isinstance(x, scalars.QScalar):
+            x = self.lift(x).scalar_value()
+            if x is None:
+                raise ParseError(non_scalar, pos)
+        if not x:
             raise ParseError("division by zero", pos)
-        return c.inv()
+        return x.inv()
 
     def exponent(self, default):
         if self.peek()[0] != "^":

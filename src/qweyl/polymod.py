@@ -245,13 +245,11 @@ def _tcal_point(v, i, e, kind, a):
         r = v.rank
         if v.kind == "jmath":
             aa, bb = a[r - 1], a[r]
-            num = aa * aa + 3 * aa - 2 * bb + 4 * aa * bb
+            k = aa * (aa + 3) // 2 - bb + 2 * aa * bb
         else:
             aa = a[r]
-            num = aa * aa - aa
-        if num % 2:
-            raise ArithmeticError("diagonal exponent must be an integer")
-        return 1, e * (num // 2), a
+            k = aa * (aa - 1) // 2
+        return 1, e * k, a
     p = i - 1
     aa, bb = a[p], a[p + 1]
     newa = a[:p] + (bb, aa) + a[p + 2 :]

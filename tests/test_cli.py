@@ -142,6 +142,8 @@ def test_exit_code_2_paths(capsys):
     assert rc == 2
     rc, _, err = run(capsys, ["normalize", "x1", "--variant", "other", "--rank", "2"])
     assert rc == 2
+    rc, out, err = run(capsys, ["normalize", "x1 *", "--variant", "jmath", "--rank", "2"])
+    assert rc == 2 and out == "" and "expected an expression" in err
 
 
 def test_huge_exponent_is_rejected(capsys):

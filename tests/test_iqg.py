@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import qweyl
 from qweyl import iqg, operators, scalars
 from qweyl.expressions import FreeExpr, qcomm
 from qweyl.report import FAIL, PASS, SKIP
@@ -238,6 +243,54 @@ def test_intertwine_pinned_example():
     checks_j1 = iqg.check_intertwine(J1, 1)
     by_id = {c.id: c for c in checks_j1}
     assert by_id["intertwine/pinned-example"].status == SKIP
+
+
+def test_intertwine_fuses_no_pair_twice(monkeypatch):
+    fuse = iqg.fuse
+    seen = []
+
+    def counting(h, s):
+        seen.append((h.label, s.label))
+        return fuse(h, s)
+
+    monkeypatch.setattr(iqg, "fuse", counting)
+    for v in (J3, Variant("imath", 3)):
+        for e in (1, -1):
+            seen.clear()
+            iqg.check_intertwine(v, e)
+            assert seen and len(seen) == len(set(seen)), (v, e)
+
+
+def test_isubst_apply_free_is_apply():
+    s = iqg.tau_subst(J2, 1, 1, "prime")
+    expr = B(1) * K(2) - B(3).scale(qpow(2))
+    assert isinstance(s.apply_free(expr), FreeExpr)
+    assert s.apply_free(expr) == s.apply(expr)
+    assert str(s.apply_free(B(1))) == str(s.apply(B(1))) == "-B4 K4"
+
+
+def test_phi_reports_the_first_bad_letter_under_every_hash_seed():
+    # letters are checked in word order, never in set order
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qweyl.__file__)))
+    code = (
+        "from qweyl.expressions import FreeExpr\n"
+        "from qweyl.iqg import phi\n"
+        "from qweyl.satake import Variant\n"
+        "try:\n"
+        "    phi(Variant('jmath', 1), FreeExpr.word((('B', 7), ('K', 9), ('Q', 1))))\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    for seed in range(1, 7):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        assert out == "index out of range: B7 (nodes run 1..2)\n", seed
 
 
 def test_intertwine_detects_wrong_table():

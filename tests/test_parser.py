@@ -168,21 +168,26 @@ def test_negative_k_powers():
 
 
 
-def _random_weyl_expr(rng, v, depth):
-    """A random weyl text and its value, built factor by factor."""
-    texts = []
-    value = WeylElement(v, {})
+def _random_expr(rng, ctx, v, depth):
+    """A random text of context ctx and its value, built factor by factor."""
+    texts, value = [], 0  # the first term turns the int into an element
     for n in range(rng.randint(1, 3 if depth else 2)):
-        text, term = _random_weyl_term(rng, v, depth)
+        text, term = _random_term(rng, ctx, v, depth)
         sign = rng.choice("+-") if n else rng.choice(("", "-"))
         texts.append("%s %s" % (sign, text) if sign else text)
         value = value - term if sign == "-" else value + term
     return " ".join(texts), value
 
 
-def _random_weyl_term(rng, v, depth):
+def _unit(ctx, v):
+    if ctx == "weyl":
+        return WeylElement.unit(v)
+    return FreeExpr.one() if ctx == "iqg" else PolyElement.unit(v)
+
+
+def _random_term(rng, ctx, v, depth):
     parts = []
-    value = WeylElement.unit(v)
+    value = _unit(ctx, v)
     for n in range(rng.randint(1, 6 if depth else 2)):
         if n:
             join = rng.choice((" ", " ", " * ", " / "))
@@ -192,22 +197,36 @@ def _random_weyl_term(rng, v, depth):
                 value = value.scale(scalars.from_frac(1, den))
             else:
                 parts.append(join)
-        text, factor = _random_weyl_factor(rng, v, depth)
+        text, factor = _random_factor(rng, ctx, v, depth)
         parts.append(text)
         value = value * factor
     return "".join(parts), value
 
 
-def _random_weyl_factor(rng, v, depth):
+def _random_letter(rng, ctx, v):
+    """A random generator power: its text and its value."""
+    name = rng.choice({"weyl": "dxm", "iqg": "BK", "poly": "X"}[ctx])
+    if ctx == "iqg":
+        idx = rng.choice([j for j in v.node_indices if name == "B" or v.k_legal(j)])
+    else:
+        idx = rng.choice(v.weyl_indices)  # X letters share the weyl indices
+    power = rng.choice((None, -2, -1, 0, 2) if name in "mK" else (None, None, None, 0, 2))
+    base = name + "i" if (power or 0) < 0 else name
+    if ctx == "weyl":
+        gen = WeylElement.generator(v, base, idx)
+    elif ctx == "iqg":
+        gen = FreeExpr.letter(base, idx)
+    else:
+        gen = PolyElement.monomial(v, [int(j == idx) for j in v.weyl_indices])
+    if power is None:
+        return "%s%d" % (name, idx), gen
+    return "%s%d^%d" % (name, idx, power), gen ** abs(power)
+
+
+def _random_factor(rng, ctx, v, depth):
     roll = rng.random()
     if roll < 0.65 or (depth == 0 and roll < 0.9):
-        name = rng.choice(("d", "x", "m"))
-        idx = rng.choice(v.weyl_indices)
-        power = rng.choice((None, None, None, 0, 2) if name != "m" else (None, -2, -1, 0, 2))
-        gen = WeylElement.generator(v, "mi" if (power or 0) < 0 else name, idx)
-        if power is None:
-            return "%s%d" % (name, idx), gen
-        return "%s%d^%d" % (name, idx, power), gen ** abs(power)
+        return _random_letter(rng, ctx, v)
     if roll < 0.75:
         k = rng.randint(-3, 3)
         return "q^%d" % k, qpow(k)
@@ -215,10 +234,10 @@ def _random_weyl_factor(rng, v, depth):
         c = rng.randint(0, 4)
         return "%d" % c, scalars.from_int(c)
     if roll < 0.93:
-        text, value = _random_weyl_expr(rng, v, depth - 1)
+        text, value = _random_expr(rng, ctx, v, depth - 1)
         return "(%s)" % text, value
-    lhs, a = _random_weyl_term(rng, v, depth - 1)
-    rhs, b = _random_weyl_term(rng, v, depth - 1)
+    lhs, a = _random_term(rng, ctx, v, depth - 1)
+    rhs, b = _random_term(rng, ctx, v, depth - 1)
     e = rng.choice((1, -1))
     return "[%s, %s]_%s" % (lhs, rhs, "+" if e == 1 else "-"), qcomm(a, b, e)
 
@@ -227,7 +246,7 @@ def test_weyl_texts_match_factor_by_factor_products_random():
     rng = random.Random(60221)
     for v in (J2, I2, Variant("jmath", 1)):
         for _ in range(60):
-            text, value = _random_weyl_expr(rng, v, depth=1)
+            text, value = _random_expr(rng, "weyl", v, depth=1)
             assert parse(text, "weyl", v) == value, text
     # fixed shapes: leading and infix scalars, powers, a run broken by '/'
     x1, d1 = WeylElement.generator(J2, "x", 1), WeylElement.generator(J2, "d", 1)
@@ -240,13 +259,69 @@ def test_weyl_texts_match_factor_by_factor_products_random():
     assert parse("x1^0", "weyl", J2) == WeylElement.unit(J2)
     assert parse("0 x1 d1", "weyl", J2) == WeylElement(J2, {})
 
+
+def test_iqg_and_poly_texts_match_factor_by_factor_products_random():
+    rng = random.Random(31415)
+    for ctx in ("iqg", "poly"):
+        for v in (J2, I2, Variant("jmath", 1)):
+            for _ in range(60):
+                text, value = _random_expr(rng, ctx, v, depth=1)
+                assert parse(text, ctx, v) == value, text
+    # fixed shapes: powers, leading and infix scalars, a '/' inside a run
+    b1, b2, k2i = FreeExpr.letter("B", 1), FreeExpr.letter("B", 2), FreeExpr.letter("Ki", 2)
+    third = scalars.from_frac(1, 3)
+    assert parse("K2^-2 B1^0", "iqg", J2) == k2i * k2i
+    assert parse("B1 q B2 / 3 B1", "iqg", J2) == (b1 * b2 * b1).scale(qpow(1) * third)
+    assert parse("2 B1^0", "iqg", J2) == FreeExpr.from_scalar(scalars.from_int(2))
+    x1 = PolyElement.monomial(J2, (1, 0, 0))
+    x2 = PolyElement.monomial(J2, (0, 1, 0))
+    assert parse("X1 / 3 X2 X1^0 q", "poly", J2) == (x1 * x2).scale(qpow(1) * third)
+    assert parse("X1^0", "poly", J2) == PolyElement.unit(J2)
+    assert parse("X2 0 X1", "poly", J2) == PolyElement(J2, {})
+
+
+def test_a_run_costs_one_element_in_every_context(monkeypatch):
+    calls = []
+
+    def counting(tag, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(tag)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for cls in (WeylElement, FreeExpr, PolyElement):
+        for name in ("__mul__", "__pow__"):
+            tag = "%s.%s" % (cls.__name__, name)
+            monkeypatch.setattr(cls, name, counting(tag, vars(cls)[name]))
+    monkeypatch.setattr(parser, "reduce_word", counting("reduce_word", parser.reduce_word))
+    # a scalar inside a run joins the coefficient and does not split it
+    for ctx, text, v, expected in (
+        ("weyl", "x1 q d1 x2 d2", J2, ["reduce_word"]),
+        ("weyl", "x1 / 3 d1 x2 d2", J2, ["reduce_word"]),
+        ("weyl", "x1 2 d1 x2 d2", J2, ["reduce_word"]),
+        ("iqg", "B1 B2 K1^-1 B3^2", J2, []),
+        ("poly", "X1^2 X2 X4^3", Variant("jmath", 3), []),
+    ):
+        calls.clear()
+        parse(text, ctx, v)
+        assert calls == expected, text
+
+
 def test_errors_inside_a_run_keep_their_position():
-    for text, message, pos in (
-        ("x1 d2 x9", "index out of range: x9 (indices run 1..3)", 6),
-        ("x1 d1^-1", "negative power of d1", 3),
+    for ctx, text, message, pos in (
+        ("weyl", "x1 d2 x9", "index out of range: x9 (indices run 1..3)", 6),
+        ("weyl", "x1 d1^-1", "negative power of d1", 3),
+        ("iqg", "B1 B2 B9", "index out of range: B9 (nodes run 1..4)", 6),
+        ("poly", "X1 X2^-1", "negative exponent on X2", 3),
+        # an operator needs a factor after it: term := factor (('*' | '/')? factor)*
+        ("weyl", "x1 *", "expected an expression, found 'end of input'", 4),
+        ("weyl", "x1 * + d1", "expected an expression, found '+'", 5),
+        ("weyl", "x1 /", "expected an expression, found 'end of input'", 4),
+        ("iqg", "B1 * * B2", "expected an expression, found '*'", 5),
     ):
         with pytest.raises(ParseError) as info:
-            parse(text, "weyl", J2)
+            parse(text, ctx, J2)
         assert str(info.value) == "%s (at position %d)" % (message, pos)
         assert info.value.pos == pos
 

@@ -97,6 +97,28 @@ def test_tcal_diagonal_values():
         assert tcal(J1, 1, 1, "prime", f) == tcal(J1, 1, 1, "doubleprime", f)
 
 
+def test_pinned_tcal_exponent_is_half_of_num():
+    # e * num / 2 with num = a^2 + 3a - 2b + 4ab (even diagram) or a^2 - a
+    # (odd diagram, b unused), for (a_r, a_{r+1}) = (a, b) resp. (b, a)
+    for v, num in (
+        (J2, lambda a, b: a * a + 3 * a - 2 * b + 4 * a * b),
+        (I2, lambda a, b: a * a - a),
+    ):
+        r = v.rank
+        for a in range(41):
+            for b in range(41):
+                exps = [0] * (r + 1)
+                if v.kind == "jmath":
+                    exps[r - 1], exps[r] = a, b
+                else:
+                    exps[r - 1], exps[r] = b, a
+                assert num(a, b) % 2 == 0
+                for e in (1, -1):
+                    for kind in satake.BRAID_KINDS:
+                        got = tcal(v, v.bmax, e, kind, mono(v, exps))
+                        assert got == mono(v, exps, qpow(e * num(a, b) // 2)), (v, a, b)
+
+
 def test_tcal_inverse_on_grid():
     for v in (J1, J2, I1, I2):
         for e in (1, -1):
