@@ -23,6 +23,7 @@ from .weyl import (
     check_well_defined_one,
     generator_letters,
     reduce_word,
+    relation_instances,
 )
 
 
@@ -105,18 +106,20 @@ def psi_op(v):
 
 
 def check_well_defined(v, e):
-    """Every braid table at sign e, plus omega and psi, preserves relations."""
+    """Every braid table at sign e, plus omega and psi, preserves relations.
+
+    The relations are built once and mapped through every table.
+    """
+    rels = relation_instances(v)
+    specs = [
+        (braid_op(v, i, e, kind), "%s/i=%d/" % (kind, i))
+        for kind in BRAID_KINDS
+        for i in v.braid_indices
+    ]
+    specs += [(omega_op(v), "omega/"), (psi_op(v), "psi/")]
     checks = []
-    for kind in BRAID_KINDS:
-        for i in v.braid_indices:
-            spec = braid_op(v, i, e, kind)
-            checks.extend(
-                check_well_defined_one(
-                    spec, "endo-well-defined/%s/i=%d/" % (kind, i)
-                )
-            )
-    checks.extend(check_well_defined_one(omega_op(v), "endo-well-defined/omega/"))
-    checks.extend(check_well_defined_one(psi_op(v), "endo-well-defined/psi/"))
+    for spec, tag in specs:
+        checks.extend(check_well_defined_one(spec, "endo-well-defined/" + tag, rels))
     return checks
 
 

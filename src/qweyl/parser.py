@@ -11,7 +11,10 @@ letters B/K, polynomial letters X):
 
 Juxtaposition multiplies; '/' divides by a scalar-valued expression;
 negative exponents are only meaningful on the invertible letters m and
-K.  Rationals are spelled with '/', q-powers as q^k.
+K.  Rationals are spelled with '/', q-powers as q^k.  A commutator's
+subscript is only its sign: an integer or q written right after '_' or
+the sign ('[a, b]_2', '[a, b]_-q') is an error, and a scalar factor there
+needs a space or '*' before it.
 
 Every context reads a term by one rule: a term is one scalar coefficient
 times its non-scalar factors in order, and each maximal run of letters,
@@ -222,10 +225,18 @@ class _Parser:
             self.take(",")
             rhs = self.expr()
             self.take("]")
-            self.take("_")
+            end = self.take("_")[2] + 1
             e = 1
             if self.peek()[0] in ("+", "-"):
-                e = 1 if self.take()[0] == "+" else -1
+                sign = self.take()
+                e = 1 if sign[0] == "+" else -1
+                end = sign[2] + 1
+            # glued to the subscript, "]_2" or "]_-q" would read as a scalar factor
+            nxt = self.peek()
+            if nxt[2] == end and (nxt[0] == "INT" or nxt[1] == "q"):
+                raise ParseError(
+                    "a commutator subscript is '+' or '-', not %r" % nxt[1], end
+                )
             out = qcomm(self.lift(lhs), self.lift(rhs), e)
             return self.apply_power(out, self.exponent(default=1), tok[2])
         raise ParseError(

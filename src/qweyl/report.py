@@ -1,6 +1,8 @@
 """Check records and deterministic verification reports."""
 
 import json
+import operator
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 
@@ -109,8 +111,37 @@ def make_report(suite, variant, checks, e=None):
     }
 
 
+# One check record as json.dumps(..., sort_keys=True, indent=2) lays it out
+# inside the report's "checks" list, and its five keys in that sorted order.
+_CHECK_JSON = (
+    "    {\n"
+    '      "description": %s,\n'
+    '      "id": %s,\n'
+    '      "lhs": %s,\n'
+    '      "rhs": %s,\n'
+    '      "status": %s\n'
+    "    }"
+)
+_CHECK_FIELDS = operator.itemgetter("description", "id", "lhs", "rhs", "status")
+
+
 def report_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(report, sort_keys=True, indent=2) + "\\n".
+
+    With indent set, json.dumps runs its pure-Python encoder, which resumes
+    a chain of generators for every value.  Here each check record fills one
+    fixed template, its strings encoded by encode_basestring_ascii, the C
+    function json.dumps itself uses for them; the head, every key but
+    "checks" (which sorts first), goes through json.dumps.
+    """
+    head = dict(report)
+    checks = ",\n".join(
+        _CHECK_JSON % tuple(map(encode_basestring_ascii, _CHECK_FIELDS(c)))
+        for c in head.pop("checks")
+    )
+    checks = "[\n%s\n  ]" % checks if checks else "[]"
+    rest = json.dumps(head, sort_keys=True, indent=2)  # "{\n  ...\n}"
+    return '{\n  "checks": %s,\n%s\n' % (checks, rest[2:])
 
 
 def report_text(report):

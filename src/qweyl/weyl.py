@@ -469,15 +469,17 @@ def check_weyl_relations(v):
     return checks
 
 
-def check_well_defined_one(spec, prefix):
+def check_well_defined_one(spec, prefix, relations=None):
     """Map relation sides through a substitution's letter images and compare.
 
     Works on free words, so it is exactly the well-definedness test; an
     antimultiplicative image table reverses the sides on its own.
+    relations is relation_instances(spec.variant), built here when not given.
     """
+    if relations is None:
+        relations = relation_instances(spec.variant)
     checks = []
-    v = spec.variant
-    for rid, desc, lhs, rhs in relation_instances(v):
+    for rid, desc, lhs, rhs in relations:
         checks.append(
             equality_check(
                 prefix + rid,

@@ -146,6 +146,13 @@ def test_exit_code_2_paths(capsys):
     assert rc == 2 and out == "" and "expected an expression" in err
 
 
+def test_a_scalar_glued_to_a_commutator_subscript_exits_2(capsys):
+    for expr in ("[x1, d1]_0", "[x1, d1]_2", "[x1, d1]_q"):
+        rc, out, err = run(capsys, ["normalize", expr, "--variant", "imath", "--rank", "1"])
+        assert rc == 2 and out == "" and "commutator subscript" in err, expr
+        assert "(at position 9)" in err, expr
+
+
 def test_huge_exponent_is_rejected(capsys):
     t0 = time.perf_counter()
     rc, _, err = run(capsys, ["normalize", "q^99999999", "--variant", "jmath", "--rank", "1"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qweyl import operators, weyl
 from qweyl.operators import (
     braid_op,
     check_braid_suite,
@@ -134,6 +135,36 @@ def test_well_defined_suite_passes():
             checks = check_well_defined(v, e)
             bad = [c for c in checks if c.status != "pass"]
             assert bad == [], bad[:3]
+
+
+def test_well_defined_suite_builds_the_relations_once(monkeypatch):
+    built = []
+    real = weyl.relation_instances
+
+    def counting(v):
+        built.append(v)
+        return real(v)
+
+    monkeypatch.setattr(operators, "relation_instances", counting)
+    monkeypatch.setattr(weyl, "relation_instances", counting)
+    for v in (J1, I1, J2, I2):
+        for e in (1, -1):
+            built.clear()
+            got = [c.as_dict() for c in check_well_defined(v, e)]
+            assert built == [v]
+            # the same records as building the relations afresh for each table
+            specs = [
+                (braid_op(v, i, e, kind), "%s/i=%d/" % (kind, i))
+                for kind in operators.BRAID_KINDS
+                for i in v.braid_indices
+            ]
+            specs += [(omega_op(v), "omega/"), (psi_op(v), "psi/")]
+            built.clear()
+            fresh = []
+            for spec, tag in specs:
+                fresh += check_well_defined_one(spec, "endo-well-defined/" + tag)
+            assert len(built) == len(specs)
+            assert got == [c.as_dict() for c in fresh]
 
 
 def test_identity_spec_well_defined():

@@ -344,3 +344,32 @@ def test_a_run_of_letters_is_reduced_once(monkeypatch):
         calls.update(mul=0, reduce=0)
         parse(text, "weyl", J2)
         assert calls == {"mul": 0, "reduce": 1}, text
+
+
+def test_a_commutator_subscript_is_only_its_sign():
+    # an integer or q right after '_' or its sign is not read as a scalar factor
+    I1 = Variant("imath", 1)
+    for ctx, comm, v in (
+        ("weyl", "[x1, d1]", I1),
+        ("iqg", "[B1, K1]", I2),
+        ("poly", "[X1, X2]", J2),
+    ):
+        n = len(comm) + 1
+        for sub, found, pos in (
+            ("_0", "0", n),
+            ("_2", "2", n),
+            ("_q", "q", n),
+            ("_-2", "2", n + 1),
+            ("_+q^2", "q", n + 1),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse(comm + sub, ctx, v)
+            message = "a commutator subscript is '+' or '-', not %r" % found
+            assert str(info.value) == "%s (at position %d)" % (message, pos)
+        # a separator keeps the scalar a factor of the term
+        plus, minus = parse(comm + "_+", ctx, v), parse(comm + "_-", ctx, v)
+        two = scalars.from_int(2)
+        assert parse(comm + "_+ 2", ctx, v) == plus.scale(two)
+        assert parse(comm + "_+*2", ctx, v) == plus.scale(two)
+        assert parse(comm + "_- * q", ctx, v) == minus.scale(qpow(1))
+        assert parse(comm + "_ q", ctx, v) == plus.scale(qpow(1))

@@ -1,7 +1,23 @@
-"""Check records: when instance tags and compared values get rendered."""
+"""Check records: when instance tags and compared values get rendered.
 
-from qweyl import polymod
-from qweyl.report import FAIL, PASS, aggregate_check, equality_check
+And the JSON report: report_json writes the bytes of json.dumps.
+"""
+
+import json
+
+import pytest
+
+from qweyl import cli, polymod
+from qweyl.report import (
+    FAIL,
+    PASS,
+    SKIP,
+    Check,
+    aggregate_check,
+    equality_check,
+    make_report,
+    report_json,
+)
 from qweyl.satake import Variant
 from qweyl.scalars import qpow
 
@@ -74,3 +90,51 @@ def test_passing_equality_renders_once_and_failing_renders_both():
     # equal values of two types may render apart: both sides are rendered
     c = equality_check("c", "d", 1, 1.0)
     assert (c.status, c.lhs, c.rhs) == (PASS, "1", "1.0")
+
+
+def reference_json(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+AWKWARD = (
+    'say "hi"',
+    "back\\slash \\n",
+    "two\nlines\r\n",
+    "ctl \x00\x01\x08\x0c\t\x1f\x7f",
+    "κ_i = q^2, café",
+    "line\u2028separator\u2029paragraph",
+    "astral \U0001d53d",
+    "",
+)
+
+
+@pytest.mark.parametrize("e", (None, 1, -1))
+def test_report_json_escapes_every_string_as_json_dumps_does(e):
+    checks = [
+        Check("c/%d" % k, s, s[::-1], s + "!", (PASS, FAIL, SKIP)[k % 3])
+        for k, s in enumerate(AWKWARD)
+    ]
+    checks.append(Check(AWKWARD[0], "d", "l", "r", PASS))
+    rep = make_report(AWKWARD[4], Variant("imath", 3), checks, e=e)
+    assert report_json(rep) == reference_json(rep)
+
+
+def test_report_json_of_an_empty_report():
+    rep = make_report("weyl-relations", Variant("jmath", 1), [], e=None)
+    text = report_json(rep)
+    assert text == reference_json(rep)
+    assert '"checks": [],' in text
+
+
+@pytest.mark.parametrize("kind", ("jmath", "imath"))
+@pytest.mark.parametrize("e", (1, -1))
+def test_report_json_of_every_suite_matches_json_dumps(kind, e):
+    v = Variant(kind, 2)
+    every = []
+    for name in cli.SUITES:
+        checks = cli.suite_checks(name, v, e, 2)
+        every += checks
+        rep = make_report(name, v, checks, e=e)
+        assert report_json(rep) == reference_json(rep), name
+    rep = make_report("all", v, every, e=e)
+    assert report_json(rep) == reference_json(rep)
