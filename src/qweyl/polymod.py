@@ -2,12 +2,12 @@
 
 The letters act by d_i X^a = [kappa(i) a_i] X^(a - e_i), x_i X^a =
 X^(a + e_i), m_i^{+-1} X^a = q^{+-kappa(i) a_i} X^a, rightmost letter
-first.  tcal builds the braid operators on polynomials; the check_*
-suites drive every module-level identity over the full grid of
-monomials with entries bounded by a degree parameter.
+first.  tcal_map binds a braid operator on polynomials and letter_action
+a letter, once per check; the check_* suites drive every module-level
+identity over the full grid of monomials with entries bounded by a degree
+parameter.
 """
 
-import functools
 import itertools
 import random
 
@@ -128,27 +128,55 @@ class PolyElement(Terms):
         return "PolyElement(%r, %s)" % (self.variant, self)
 
 
-def act_letter(v, name, idx, poly):
-    """One generator letter applied to a polynomial."""
+def letter_action(v, name, idx):
+    """The map poly -> letter . poly, bound once for any number of polynomials.
+
+    The letter is validated and its rule chosen here, once; the map checks
+    only each polynomial's variant.  The rule is written apart from action,
+    so acting letter by letter stays an independent reference for it.
+    """
     validate_letter(v, name, idx)
-    v.check_variant(poly.variant)
     k = v.kappa(idx)
     p = idx - 1
-    out = {}
-    for a, c in poly.terms.items():
-        if name == "d":
-            if a[p] == 0:
-                continue
-            c = c * qint(k * a[p])
-            a = a[:p] + (a[p] - 1,) + a[p + 1 :]
-        elif name == "x":
-            a = a[:p] + (a[p] + 1,) + a[p + 1 :]
-        elif name == "m":
-            c = c * qpow(k * a[p])
-        else:  # "mi"
-            c = c * qpow(-k * a[p])
-        acc(out, a, c)
-    return PolyElement(v, out)
+    one = scalars.ONE
+    if name == "x":
+
+        def image(a, c):
+            return a[:p] + (a[p] + 1,) + a[p + 1 :], c
+
+    elif name == "d":
+
+        def image(a, c):
+            t = a[p]
+            if t == 0:
+                return None
+            w = qint(k * t)
+            return a[:p] + (t - 1,) + a[p + 1 :], w if c is one else c * w
+
+    else:
+        s = k if name == "m" else -k
+
+        def image(a, c):
+            w = qpow(s * a[p])
+            return a, w if c is one else c * w
+
+    def apply(poly):
+        v.check_variant(poly.variant)
+        out = {}
+        for a, c in poly.terms.items():
+            img = image(a, c)
+            # a letter sends distinct exponent vectors to distinct ones, and
+            # [kappa t] and q^k are nonzero: no two terms meet, none cancels
+            if img is not None:
+                out[img[0]] = img[1]
+        return PolyElement(v, out)
+
+    return apply
+
+
+def act_letter(v, name, idx, poly):
+    """One generator letter applied to a polynomial; see letter_action."""
+    return letter_action(v, name, idx)(poly)
 
 
 def act_word(v, word, poly, coeff=scalars.ONE):
@@ -258,20 +286,37 @@ def _tcal_point(v, i, e, kind, a):
     return (-1 if aa % 2 else 1), e * aa * (bb + 1), newa
 
 
-def tcal(v, i, e, kind, poly):
-    """The braid operator on polynomials with subscripts i and e."""
+def tcal_map(v, i, e, kind):
+    """The braid operator on polynomials with subscripts i and e, bound once.
+
+    The subscripts are checked here, once; the map checks only each
+    polynomial's variant.  It remembers the image X^b and scalar +-q^k of
+    each exponent vector a it has seen, for as long as the map lives.
+    """
     v.check_braid_args(i, e, kind)
-    v.check_variant(poly.variant)
-    out = {}
-    for a, c in poly.terms.items():
-        sign, k, b = _tcal_point(v, i, e, kind, a)
-        w = qpow(k)
-        if c is not scalars.ONE:
-            w = c * w
-        if sign < 0:
-            w = -w
-        acc(out, b, w)
-    return PolyElement(v, out)
+    one = scalars.ONE
+    seen = {}
+
+    def apply(poly):
+        v.check_variant(poly.variant)
+        out = {}
+        for a, c in poly.terms.items():
+            img = seen.get(a)
+            if img is None:
+                sign, k, b = _tcal_point(v, i, e, kind, a)
+                w = qpow(k)
+                img = seen[a] = (b, -w if sign < 0 else w)
+            b, w = img
+            # tcal permutes exponent vectors: no two terms meet, none cancels
+            out[b] = w if c is one else c * w
+        return PolyElement(v, out)
+
+    return apply
+
+
+def tcal(v, i, e, kind, poly):
+    """The braid operator on polynomials with subscripts i and e; see tcal_map."""
+    return tcal_map(v, i, e, kind)(poly)
 
 
 def grid(v, bound):
@@ -289,15 +334,17 @@ def _intertwine_instances(v, i, e, kind, monos, sides):
     """tcal(left(X^a)) against act(right, tcal(X^a)), side by side, point by point.
 
     sides lists (tag, left, right): left maps a polynomial to a polynomial
-    and right is a Weyl element, bound once per side.  The tcal image of
-    each grid monomial is taken once and serves every side.  Each instance
+    and right is a Weyl element, bound once per side.  One bound tcal map
+    serves the whole check; the tcal image of each grid monomial is taken
+    once and serves every side.  Each instance
     is tagged (tag, a), which the report renders only if it fails.
     """
-    tcal_monos = [tcal(v, i, e, kind, m) for _, m in monos]
+    t = tcal_map(v, i, e, kind)
+    tcal_monos = [t(m) for _, m in monos]
     for tag, left, right in sides:
         right = action(v, right)
         for (a, m), tm in zip(monos, tcal_monos):
-            yield (tag, a), tcal(v, i, e, kind, left(m)), right(tm)
+            yield (tag, a), t(left(m)), right(tm)
 
 
 def check_module_homomorphism(v, bound):
@@ -366,7 +413,7 @@ def check_tcal_suite(v, e, bound):
             t_op = operators.braid_op(v, i, e, kind)
             # letter by letter on the tcal side: the independent reference
             sides = [
-                (letter_tag(l), functools.partial(act_letter, v, *l), t_op.images[l])
+                (letter_tag(l), letter_action(v, *l), t_op.images[l])
                 for l in generator_letters(v)
             ]
             checks.append(
@@ -379,9 +426,11 @@ def check_tcal_suite(v, e, bound):
             )
 
     def compose(word):
+        maps = [tcal_map(v, *t) for t in reversed(word)]
+
         def at(poly):
-            for t in reversed(word):
-                poly = tcal(v, *t, poly)
+            for t in maps:
+                poly = t(poly)
             return poly
 
         return at

@@ -47,6 +47,11 @@ def validate_letter(v, name, idx):
         )
 
 
+def _qshift(coeff, n):
+    """coeff * q^n; coeff itself when n is 0."""
+    return coeff * qpow(n) if n else coeff
+
+
 def _append_right(k, terms, name):
     """At one index of weight k: the terms {triple: scalar} times a letter."""
     if name == "m" or name == "mi":
@@ -56,18 +61,18 @@ def _append_right(k, terms, name):
     if name == "x":
         for (a, b, c), coeff in terms.items():
             if b == 0:
-                acc(out, (a + 1, 0, c), coeff * qpow(k * c))
+                acc(out, (a + 1, 0, c), _qshift(coeff, k * c))
             else:
                 f = coeff * _QD
-                acc(out, (a, b - 1, c + 1), f * qpow(k * (c + 1)))
-                acc(out, (a, b - 1, c - 1), -f * qpow(k * (c - 1)))
+                acc(out, (a, b - 1, c + 1), _qshift(f, k * (c + 1)))
+                acc(out, (a, b - 1, c - 1), -_qshift(f, k * (c - 1)))
         return out
     # name == "d"
     for (a, b, c), coeff in terms.items():
         if a == 0:
-            acc(out, (0, b + 1, c), coeff * qpow(-k * c))
+            acc(out, (0, b + 1, c), _qshift(coeff, -k * c))
         else:
-            f = coeff * qpow(-k * c) * _QD
+            f = _qshift(coeff, -k * c) * _QD
             acc(out, (a - 1, 0, c + 1), f)
             acc(out, (a - 1, 0, c - 1), -f)
     return out
@@ -78,7 +83,7 @@ def _append_left(k, terms, name):
     if name == "m" or name == "mi":
         s = 1 if name == "m" else -1
         return {
-            (a, b, c + s): coeff * qpow(s * k * (a - b))
+            (a, b, c + s): _qshift(coeff, s * k * (a - b))
             for (a, b, c), coeff in terms.items()
         }
     out = {}
@@ -88,8 +93,8 @@ def _append_left(k, terms, name):
                 acc(out, (a + 1, 0, c), coeff)
             else:
                 f = coeff * _QD
-                acc(out, (0, b - 1, c + 1), f * qpow(-k * (b - 1)))
-                acc(out, (0, b - 1, c - 1), -f * qpow(k * (b - 1)))
+                acc(out, (0, b - 1, c + 1), _qshift(f, -k * (b - 1)))
+                acc(out, (0, b - 1, c - 1), -_qshift(f, k * (b - 1)))
         return out
     # name == "d"
     for (a, b, c), coeff in terms.items():
@@ -97,8 +102,8 @@ def _append_left(k, terms, name):
             acc(out, (0, b + 1, c), coeff)
         else:
             f = coeff * _QD
-            acc(out, (a - 1, 0, c + 1), f * qpow(k * a))
-            acc(out, (a - 1, 0, c - 1), -f * qpow(-k * a))
+            acc(out, (a - 1, 0, c + 1), _qshift(f, k * a))
+            acc(out, (a - 1, 0, c - 1), -_qshift(f, -k * a))
     return out
 
 

@@ -7,7 +7,7 @@ from qweyl.polymod import PolyElement, act, act_letter, act_word, grid, tcal
 from qweyl.report import FAIL, PASS, SKIP
 from qweyl.satake import Variant
 from qweyl.scalars import qint, qpow
-from qweyl.weyl import generator_letters, reduce_word
+from qweyl.weyl import WeylElement, generator_letters, reduce_word
 
 J1 = Variant("jmath", 1)
 J2 = Variant("jmath", 2)
@@ -193,6 +193,69 @@ def test_bound_action_checks_the_element_once_and_each_polynomial():
         zero(mono(I1, (1, 2)))
 
 
+def test_bound_maps_validate_when_bound():
+    # no polynomial is needed to reach the argument checks
+    for args, match in (
+        ((1, 1, "half"), "unknown kind"),
+        ((1, 2, "prime"), "e must be"),
+        ((0, 1, "prime"), "braid index out of range"),
+        ((3, 1, "prime"), "braid index out of range"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            polymod.tcal_map(J2, *args)
+    for args, match in (
+        (("y", 1), "unknown generator"),
+        (("x", 0), "index out of range"),
+        (("d", J2.rank + 2), "index out of range"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            polymod.letter_action(J2, *args)
+
+
+def test_bound_maps_check_each_polynomial():
+    twin = Variant("jmath", 1)
+    f = mono(twin, (1, 2))
+    assert polymod.tcal_map(J1, 1, 1, "prime")(f) == tcal(J1, 1, 1, "prime", f)
+    assert polymod.letter_action(J1, "x", 1)(f) == mono(J1, (2, 2))
+    g = mono(I1, (1, 2))
+    for bound in (
+        polymod.tcal_map(J1, 1, 1, "prime"),
+        polymod.tcal_map(J1, 1, -1, "doubleprime"),
+    ) + tuple(polymod.letter_action(J1, *l) for l in generator_letters(J1)):
+        with pytest.raises(ValueError, match="variant mismatch"):
+            bound(g)
+
+
+def test_letter_action_matches_the_generator_action():
+    rng = random.Random(47)
+    for v in (J1, J2, I1, I2):
+        for l in generator_letters(v):
+            bound = polymod.letter_action(v, *l)
+            gen = polymod.action(v, WeylElement.generator(v, *l))
+            for _ in range(6):
+                f = _rand_poly(rng, v, 3)
+                assert bound(f) == gen(f) == act_letter(v, *l, f)
+
+
+def test_tcal_map_evaluates_each_exponent_vector_once(monkeypatch):
+    rng = random.Random(53)
+    polys = [_rand_poly(rng, J2, 2) for _ in range(20)]
+    want = [tcal(J2, 1, 1, "prime", f) for f in polys]
+    seen = []
+    real_point = polymod._tcal_point
+
+    def counted(v, i, e, kind, a):
+        seen.append(a)
+        return real_point(v, i, e, kind, a)
+
+    monkeypatch.setattr(polymod, "_tcal_point", counted)
+    bound = polymod.tcal_map(J2, 1, 1, "prime")
+    assert [bound(f) for f in polys] == want
+    vectors = {a for f in polys for a in f.terms}
+    assert sum(len(f.terms) for f in polys) > len(vectors)
+    assert sorted(seen) == sorted(vectors)
+
+
 def test_poly_algebra_and_rendering():
     f = mono(J2, (2, 0, 1)) + mono(J2, (0, 1, 0), qpow(1) + qpow(-1))
     assert str(f) == "X1^2 X3 + (q + q^-1) X2"
@@ -306,13 +369,18 @@ def test_variant_checks_survive_identity_short_circuit():
 
 
 def _tcal_calls_per_check(monkeypatch):
-    """Patch polymod.tcal to count calls, and attribute them to check ids."""
+    """Count applications of bound tcal maps, and attribute them to check ids."""
     calls = [0]
-    real_tcal = polymod.tcal
+    real_tcal_map = polymod.tcal_map
 
     def counted(*args):
-        calls[0] += 1
-        return real_tcal(*args)
+        bound = real_tcal_map(*args)
+
+        def apply(poly):
+            calls[0] += 1
+            return bound(poly)
+
+        return apply
 
     per_check = {}
 
@@ -325,7 +393,7 @@ def _tcal_calls_per_check(monkeypatch):
 
         return check
 
-    monkeypatch.setattr(polymod, "tcal", counted)
+    monkeypatch.setattr(polymod, "tcal_map", counted)
     for mod in (polymod, satake):
         monkeypatch.setattr(mod, "aggregate_check", attributing(mod.aggregate_check))
     return per_check
@@ -343,7 +411,7 @@ def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
     intertwine = {c: n for c, n in per_check.items() if c.startswith("tcal/intertwine/")}
     assert len(intertwine) == 4
     assert set(intertwine.values()) == {(n_letters + 1) * points}
-    # the relation checks compose tcal word by word through the same name
+    # the relation checks bind each operator of a word through the same name
     assert per_check["tcal/inverse/doubleprime-after-prime/i=1"] == 2 * points
     assert per_check["tcal/braid/4-term/prime/i=2"] == 8 * points
 

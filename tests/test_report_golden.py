@@ -93,9 +93,11 @@ def _flip_tau_subst(real):
 def _shift_tcal(real):
     """Both polynomial braid operators at i = 1 scaled by q."""
 
-    def mutated(v, i, e, kind, poly):
-        out = real(v, i, e, kind, poly)
-        return out.scale(qpow(1)) if i == 1 else out
+    def mutated(v, i, e, kind):
+        bound = real(v, i, e, kind)
+        if i != 1:
+            return bound
+        return lambda poly: bound(poly).scale(qpow(1))
 
     return mutated
 
@@ -105,7 +107,7 @@ MUTATIONS = {
     "braid_op-flip": (operators, "braid_op", _flip_braid_op),
     "braid_op-shift": (operators, "braid_op", _shift_braid_op),
     "tau_subst-flip": (iqg, "tau_subst", _flip_tau_subst),
-    "tcal-shift": (polymod, "tcal", _shift_tcal),
+    "tcal-shift": (polymod, "tcal_map", _shift_tcal),
 }
 
 
