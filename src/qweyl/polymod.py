@@ -131,7 +131,7 @@ class PolyElement(Terms):
 def letter_action(v, name, idx):
     """The map poly -> letter . poly, bound once for any number of polynomials.
 
-    The letter is validated and its rule chosen here, once; the map checks
+    The letter is validated and its weight read here, once; the map checks
     only each polynomial's variant.  The rule is written apart from action,
     so acting letter by letter stays an independent reference for it.
     """
@@ -139,36 +139,26 @@ def letter_action(v, name, idx):
     k = v.kappa(idx)
     p = idx - 1
     one = scalars.ONE
-    if name == "x":
-
-        def image(a, c):
-            return a[:p] + (a[p] + 1,) + a[p + 1 :], c
-
-    elif name == "d":
-
-        def image(a, c):
-            t = a[p]
-            if t == 0:
-                return None
-            w = qint(k * t)
-            return a[:p] + (t - 1,) + a[p + 1 :], w if c is one else c * w
-
-    else:
-        s = k if name == "m" else -k
-
-        def image(a, c):
-            w = qpow(s * a[p])
-            return a, w if c is one else c * w
 
     def apply(poly):
         v.check_variant(poly.variant)
         out = {}
         for a, c in poly.terms.items():
-            img = image(a, c)
+            if name == "d":
+                if a[p] == 0:
+                    continue
+                w = qint(k * a[p])
+                a = a[:p] + (a[p] - 1,) + a[p + 1 :]
+            elif name == "x":
+                w = one
+                a = a[:p] + (a[p] + 1,) + a[p + 1 :]
+            elif name == "m":
+                w = qpow(k * a[p])
+            else:  # "mi"
+                w = qpow(-k * a[p])
             # a letter sends distinct exponent vectors to distinct ones, and
             # [kappa t] and q^k are nonzero: no two terms meet, none cancels
-            if img is not None:
-                out[img[0]] = img[1]
+            out[a] = w if c is one else c * w
         return PolyElement(v, out)
 
     return apply
