@@ -75,17 +75,8 @@ def _phi_letter(v, name, idx):
     return reduce_word(v, (("m", a), ("mi", b)), qpow(qe))
 
 
-_PHI_CACHE = {}
-
-
 def phi_table(v):
-    tbl = _PHI_CACHE.get(v)
-    if tbl is None:
-        tbl = {}
-        for name, idx in iqg_letters(v):
-            tbl[(name, idx)] = _phi_letter(v, name, idx)
-        _PHI_CACHE[v] = tbl
-    return tbl
+    return {l: _phi_letter(v, *l) for l in iqg_letters(v)}
 
 
 def phi_spec(v):

@@ -169,84 +169,63 @@ def act_letter(v, name, idx, poly):
     return letter_action(v, name, idx)(poly)
 
 
-def act_word(v, word, poly, coeff=scalars.ONE):
+def act_word(v, word, poly):
     """A letter word applied one letter at a time, rightmost first."""
     for name, idx in reversed(word):
         poly = act_letter(v, name, idx, poly)
-    return poly.scale(coeff) if coeff != scalars.ONE else poly
+    return poly
 
 
-# Per variant, keyed by (kind, rank), which hashes without a Python call:
-# (monomial, exponents on its support) -> action image, None when the
-# monomial annihilates.  The table is bounded and starts over when full.
-_ACT_CACHE_MAX = 1 << 16
+# Always empty, as action keeps no table; perfbench/tracing.py reads the name.
 _ACT_CACHE = {}
-_UNSEEN = object()
-
-
-def _mono_image(v, mono, support, sub):
-    """Scalar and new support exponents of a canonical monomial on X^a.
-
-    sub lists the entries of a on the support of the monomial; the action
-    never reads the other positions.  None when the monomial annihilates X^a.
-    """
-    coeff = scalars.ONE
-    new = []
-    for p, t in zip(support, sub):
-        al, be, ga = mono[p]
-        k = v.kappa(p + 1)
-        if t < be:
-            return None
-        if ga:
-            coeff = coeff * qpow(ga * k * t)
-        for s in range(be):
-            coeff = coeff * qint(k * (t - s))
-        new.append(t - be + al)
-    return coeff, tuple(new)
 
 
 def action(v, elem):
     """The map poly -> elem . poly, bound once for any number of polynomials.
 
-    The element's variant, the per-variant table and the support of each
-    monomial are read here, once; the map checks only each polynomial's
-    variant.
+    The element's variant is checked here, once, and each canonical monomial
+    x^al d^be m^ga is kept with its coefficient and its support triples and
+    their weights; the map checks only each polynomial's variant.  At an
+    index of weight k where a has entry t the monomial sends X^a to
+    q^(ga k t) [k t][k (t - 1)]...[k (t - be + 1)] X^a with that entry
+    replaced by t - be + al, and annihilates X^a when t < be.
     """
     v.check_variant(elem.variant)
-    vkey = (v.kind, v.rank)
-    cache = _ACT_CACHE.get(vkey)
-    if cache is None:
-        cache = _ACT_CACHE[vkey] = {}
     one = scalars.ONE
     parts = []
     for mono, mc in elem.terms.items():
-        support = tuple(p for p, t in enumerate(mono) if t != (0, 0, 0))
-        parts.append((mono, mc, support))
+        support = tuple(
+            (p, v.kappa(p + 1), al, be, ga)
+            for p, (al, be, ga) in enumerate(mono)
+            if al or be or ga
+        )
+        parts.append((mc, support))
 
     def apply(poly):
         v.check_variant(poly.variant)
         out = {}
-        for mono, mc, support in parts:
+        for mc, support in parts:
             for a, c in poly.terms.items():
-                sub = tuple([a[p] for p in support])
-                key = (mono, sub)
-                img = cache.get(key, _UNSEEN)
-                if img is _UNSEEN:
-                    img = _mono_image(v, mono, support, sub)
-                    scalars.remember(cache, key, img, _ACT_CACHE_MAX)
-                if img is None:
-                    continue
-                w, new = img
                 b = list(a)
-                for p, t in zip(support, new):
-                    b[p] = t
-                b = tuple(b)
-                # grid monomials and most letter images carry the coefficient 1
-                if c is not one:
-                    w = c * w
-                if mc is not one:
-                    w = mc * w
-                acc(out, b, w)
+                e = 0
+                ints = []
+                for p, k, al, be, ga in support:
+                    t = a[p]
+                    if t < be:
+                        break
+                    e += ga * k * t
+                    ints.extend(range(k * (t - be + 1), k * t + 1, k))
+                    b[p] = t - be + al
+                else:
+                    w = qpow(e)
+                    for n in ints:
+                        w = qint(n) if w is one else w * qint(n)
+                    # grid monomials and most letter images carry the coefficient 1
+                    if c is not one:
+                        w = c * w
+                    if mc is not one:
+                        w = mc * w
+                    acc(out, tuple(b), w)
         return PolyElement(v, out)
 
     return apply

@@ -474,15 +474,13 @@ def check_weyl_relations(v):
     return checks
 
 
-def check_well_defined_one(spec, prefix, relations=None):
+def check_well_defined_one(spec, prefix, relations):
     """Map relation sides through a substitution's letter images and compare.
 
     Works on free words, so it is exactly the well-definedness test; an
     antimultiplicative image table reverses the sides on its own.
-    relations is relation_instances(spec.variant), built here when not given.
+    relations is relation_instances(spec.variant), built once by the caller.
     """
-    if relations is None:
-        relations = relation_instances(spec.variant)
     checks = []
     for rid, desc, lhs, rhs in relations:
         checks.append(

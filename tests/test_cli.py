@@ -20,6 +20,17 @@ def test_normalize_pinned(capsys):
     assert out == "(q*m1 - q^-1*m1^-1)/(q - q^-1)\n"
 
 
+def test_normalize_non_shape_denominators(capsys):
+    # q^2 + q + 1 and q^2 + 1 are not products of (q - 1), (q + 1) and q-powers:
+    # their sum takes the general least common multiple
+    expr = "x1/(q^2+q+1) + d1/(q^2+1)"
+    rc, out, _ = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+    assert rc == 0
+    assert out == (
+        "((1 + q^-2)*x1 + (1 + q^-1 + q^-2)*d1)/(q^2 + q + 2 + q^-1 + q^-2)\n"
+    )
+
+
 def test_apply_braid_depends_on_rank(capsys):
     argv = ["apply", "m2", "--op", "T", "--i", "2", "--e", "-1", "--kind", "prime"]
     rc, out, _ = run(capsys, argv + ["--variant", "jmath", "--rank", "2"])

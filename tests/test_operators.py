@@ -162,20 +162,22 @@ def test_well_defined_suite_builds_the_relations_once(monkeypatch):
             built.clear()
             fresh = []
             for spec, tag in specs:
-                fresh += check_well_defined_one(spec, "endo-well-defined/" + tag)
+                fresh += check_well_defined_one(
+                    spec, "endo-well-defined/" + tag, weyl.relation_instances(v)
+                )
             assert len(built) == len(specs)
             assert got == [c.as_dict() for c in fresh]
 
 
 def test_identity_spec_well_defined():
-    checks = check_well_defined_one(identity_endo(J2), "wd/")
+    checks = check_well_defined_one(identity_endo(J2), "wd/", weyl.relation_instances(J2))
     assert all(c.status == "pass" for c in checks)
 
 
 def test_broken_spec_fails_dx_relation():
     spec = identity_endo(J2)
     spec.images[("d", 1)] = gen(J2, "x", 1)
-    checks = check_well_defined_one(spec, "wd/")
+    checks = check_well_defined_one(spec, "wd/", weyl.relation_instances(J2))
     by_id = {c.id: c for c in checks}
     assert by_id["wd/dx/i=1"].status == "fail"
     assert by_id["wd/dx/i=2"].status == "pass"

@@ -6,7 +6,7 @@ from qweyl import iqg, polymod, satake, scalars
 from qweyl.polymod import PolyElement, act, act_letter, act_word, grid, tcal
 from qweyl.report import FAIL, PASS, SKIP
 from qweyl.satake import Variant
-from qweyl.scalars import qint, qpow
+from qweyl.scalars import from_int, qint, qpow
 from qweyl.weyl import WeylElement, generator_letters, reduce_word
 
 J1 = Variant("jmath", 1)
@@ -174,7 +174,7 @@ def test_bound_action_matches_act():
             bound = polymod.action(v, elem)
             for _ in range(4):
                 f = _rand_poly(rng, v, 3)
-                want = act_word(v, word, f) + act_word(v, other, f, coeff)
+                want = act_word(v, word, f) + act_word(v, other, f).scale(coeff)
                 assert bound(f) == act(v, elem, f) == want
 
 
@@ -423,10 +423,7 @@ def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
     assert set(per_check.values()) == {(n_letters + 1) * points}
 
 
-def test_action_tables_are_bounded(monkeypatch):
-    cap = 4
-    monkeypatch.setattr(polymod, "_ACT_CACHE_MAX", cap)
-    monkeypatch.setattr(polymod, "_ACT_CACHE", {})
+def test_action_matches_letter_by_letter_on_scaled_grids():
     rng = random.Random(5)
     letters = generator_letters(J2)
     for _ in range(30):
@@ -435,7 +432,28 @@ def test_action_tables_are_bounded(monkeypatch):
         for a in grid(J2, 2):
             f = mono(J2, a, qpow(1))
             assert act(J2, elem, f) == act_word(J2, word, f)
-            assert all(len(t) <= cap for t in polymod._ACT_CACHE.values())
+    # several monomials, each with a non-unit scalar; d3^2 at the jmath
+    # index of weight 2 annihilates X3^t for t < 2 and gives [2t][2t - 2]
+    words = [
+        ((("d", 3), ("d", 3)), qpow(1) / 3),
+        ((("x", 1), ("d", 3), ("d", 3), ("m", 3)), from_int(-2)),
+        ((("m", 2), ("d", 2), ("mi", 3)), qint(2)),
+        ((("x", 3), ("d", 1)), qpow(-2) * 5),
+    ]
+    elem = reduce_word(J2, *words[0])
+    for w, c in words[1:]:
+        elem = elem + reduce_word(J2, w, c)
+    assert len(elem.terms) == len(words)
+    bound = polymod.action(J2, elem)
+    for a in grid(J2, 3):
+        f = mono(J2, a, qpow(a[0] - a[2]) * 7)
+        want = act_word(J2, words[0][0], f).scale(words[0][1])
+        for w, c in words[1:]:
+            want = want + act_word(J2, w, f).scale(c)
+        assert bound(f) == want
+    dd = polymod.action(J2, reduce_word(J2, words[0][0]))
+    assert dd(mono(J2, (1, 0, 1))).is_zero
+    assert dd(mono(J2, (1, 0, 2))) == mono(J2, (1, 0, 0), qint(4) * qint(2))
 
 
 def test_polynomials_are_unhashable():

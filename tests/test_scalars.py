@@ -465,6 +465,35 @@ def test_lcm_of_shapes_matches_gcd_formula():
         assert p_lcm(a, b) == want
 
 
+def test_lcm_and_gcd_of_non_shape_polynomials():
+    # in each pair one is not a product of q-powers, (q - 1) and (q + 1), so
+    # p_lcm takes its general branch through p_gcd
+    pairs = [
+        ((1, 1, 1), (1, 0, 1)),
+        ((2, 0, 2), (3, 0, 0, 3)),
+        ((2, 0, 2), (0, 0, 4, 0, 4)),
+        ((1, -1, 1), p_mul((1, -1, 1), (1, 1, 1))),
+        ((6, 3, 3), (1, 2, 1)),
+        ((-1, 0, 0, 1), (1, 1, 1)),
+    ]
+    for a, b in pairs:
+        assert _shape(a) is None or _shape(b) is None
+        g = p_gcd(a, b)
+        lcm = p_lcm(a, b)
+        assert lcm[-1] > 0 and g[-1] > 0
+        assert p_mul(lcm, g) in (p_mul(a, b), p_neg(p_mul(a, b)))
+        assert p_div_exact(lcm, a) and p_div_exact(lcm, b)
+    assert p_gcd((1, 1, 1), (1, 0, 1)) == (1,)
+    assert p_lcm((1, 1, 1), (1, 0, 1)) == p_mul((1, 1, 1), (1, 0, 1))
+    assert p_gcd((2, 0, 2), (3, 0, 0, 3)) == (1,)
+    assert p_gcd((2, 0, 2), (0, 0, 4, 0, 4)) == (2, 0, 2)
+    assert p_lcm((2, 0, 2), (0, 0, 4, 0, 4)) == (0, 0, 4, 0, 4)
+    # an empty (zero) operand: the gcd is the other one, made positive
+    assert p_gcd((), (1, 0, -2)) == (-1, 0, 2)
+    assert p_gcd((1, -3), ()) == (-1, 3)
+    assert p_gcd((), ()) == ()
+
+
 def test_constants_values_and_identities():
     # weyl and polymod compare ONE by identity
     assert qpow(0) is ONE

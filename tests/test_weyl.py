@@ -232,7 +232,7 @@ def test_anti_bar_spec_well_defined():
             images[("m", i)] = gen(v, "mi", i)
             images[("mi", i)] = gen(v, "m", i)
         spec = EndoSpec(v, images, antimultiplicative=True, bar_twist=True, label="flip")
-        checks = check_well_defined_one(spec, "wd/")
+        checks = check_well_defined_one(spec, "wd/", relation_instances(v))
         assert all(c.status == "pass" for c in checks)
 
 
