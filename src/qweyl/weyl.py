@@ -13,10 +13,13 @@ The rewrites act at one index, so words are reduced and monomials
 multiplied one index at a time.
 """
 
+import math
+from operator import add, neg, sub
+
 from . import scalars
 from .expressions import FreeExpr, Terms, acc, letter_tag
 from .report import equality_check
-from .scalars import qpow
+from .scalars import P_ONE, QScalar, p_mul, p_neg, qpow
 
 WEYL_LETTER_NAMES = ("d", "x", "m", "mi")
 
@@ -47,64 +50,111 @@ def validate_letter(v, name, idx):
         )
 
 
-def _qshift(coeff, n):
-    """coeff * q^n; coeff itself when n is 0."""
-    return coeff * qpow(n) if n else coeff
+# A one-index state (a, b, n, terms) stands for
+#
+#     (q - q^-1)^-n * sum over c of L_c(q) * x^a d^b m^c,
+#
+# terms mapping each c to the integer Laurent polynomial L_c, stored as
+# (lo, cs) for q^lo * (cs[0] + cs[1] q + ...) with cs[0] and cs[-1] nonzero.
+# The rewrites send (a, b) to a pair that does not depend on c, and each x-d
+# rewrite divides every term by q - q^-1, so a, b and n are shared by the
+# terms and the rules below add and shift integer polynomials only.
 
 
-def _append_right(k, terms, name):
-    """At one index of weight k: the terms {triple: scalar} times a letter."""
+def _lacc(out, c, lo, cs, op=add):
+    """out[c] = op(out[c], q^lo * cs) for op add or sub; a sum that cancels drops c."""
+    old = out.get(c)
+    if old is None:
+        out[c] = (lo, cs if op is add else tuple(map(neg, cs)))
+        return
+    lo2, cs2 = old
+    start = min(lo, lo2)
+    end = max(lo + len(cs), lo2 + len(cs2))
+    buf = [0] * (lo2 - start) + list(cs2) + [0] * (end - lo2 - len(cs2))
+    i = lo - start
+    j = i + len(cs)
+    buf[i:j] = map(op, buf[i:j], cs)
+    i, j = 0, len(buf)
+    while i < j and not buf[i]:
+        i += 1
+    if i == j:
+        del out[c]
+        return
+    while not buf[j - 1]:
+        j -= 1
+    out[c] = (start + i, tuple(buf[i:j]))
+
+
+def _append_right(k, state, name):
+    """At one index of weight k: the state (a, b, n, terms) times a letter."""
+    a, b, n, terms = state
     if name == "m" or name == "mi":
         s = 1 if name == "m" else -1
-        return {(a, b, c + s): coeff for (a, b, c), coeff in terms.items()}
+        return a, b, n, {c + s: t for c, t in terms.items()}
     out = {}
     if name == "x":
-        for (a, b, c), coeff in terms.items():
-            if b == 0:
-                acc(out, (a + 1, 0, c), _qshift(coeff, k * c))
-            else:
-                f = coeff * _QD
-                acc(out, (a, b - 1, c + 1), _qshift(f, k * (c + 1)))
-                acc(out, (a, b - 1, c - 1), -_qshift(f, k * (c - 1)))
-        return out
+        if b == 0:
+            return a + 1, 0, n, {c: (lo + k * c, cs) for c, (lo, cs) in terms.items()}
+        for c, (lo, cs) in terms.items():
+            _lacc(out, c + 1, lo + k * (c + 1), cs)
+            _lacc(out, c - 1, lo + k * (c - 1), cs, sub)
+        return a, b - 1, n + 1, out
     # name == "d"
-    for (a, b, c), coeff in terms.items():
-        if a == 0:
-            acc(out, (0, b + 1, c), _qshift(coeff, -k * c))
-        else:
-            f = _qshift(coeff, -k * c) * _QD
-            acc(out, (a - 1, 0, c + 1), f)
-            acc(out, (a - 1, 0, c - 1), -f)
-    return out
+    if a == 0:
+        return 0, b + 1, n, {c: (lo - k * c, cs) for c, (lo, cs) in terms.items()}
+    for c, (lo, cs) in terms.items():
+        lo -= k * c
+        _lacc(out, c + 1, lo, cs)
+        _lacc(out, c - 1, lo, cs, sub)
+    return a - 1, 0, n + 1, out
 
 
-def _append_left(k, terms, name):
-    """At one index of weight k: a letter times the terms {triple: scalar}."""
+def _append_left(k, state, name):
+    """At one index of weight k: a letter times the state (a, b, n, terms)."""
+    a, b, n, terms = state
     if name == "m" or name == "mi":
         s = 1 if name == "m" else -1
-        return {
-            (a, b, c + s): _qshift(coeff, s * k * (a - b))
-            for (a, b, c), coeff in terms.items()
-        }
-    out = {}
+        e = s * k * (a - b)
+        return a, b, n, {c + s: (lo + e, cs) for c, (lo, cs) in terms.items()}
     if name == "x":
-        for (a, b, c), coeff in terms.items():
-            if b == 0:
-                acc(out, (a + 1, 0, c), coeff)
-            else:
-                f = coeff * _QD
-                acc(out, (0, b - 1, c + 1), _qshift(f, -k * (b - 1)))
-                acc(out, (0, b - 1, c - 1), -_qshift(f, k * (b - 1)))
-        return out
-    # name == "d"
-    for (a, b, c), coeff in terms.items():
-        if a == 0:
-            acc(out, (0, b + 1, c), coeff)
-        else:
-            f = coeff * _QD
-            acc(out, (a - 1, 0, c + 1), _qshift(f, k * a))
-            acc(out, (a - 1, 0, c - 1), -_qshift(f, -k * a))
-    return out
+        if b == 0:
+            return a + 1, 0, n, terms
+        e, a, b = -k * (b - 1), 0, b - 1
+    elif a == 0:
+        return 0, b + 1, n, terms
+    else:
+        e, a, b = k * a, a - 1, 0
+    out = {}
+    for c, (lo, cs) in terms.items():
+        _lacc(out, c + 1, lo + e, cs)
+        _lacc(out, c - 1, lo - e, cs, sub)
+    return a, b, n + 1, out
+
+
+def _qd_power(n):
+    """(q - q^-1)^-n = q^n / (q^2 - 1)^n, the denominator from binomial coefficients."""
+    den = [0] * (2 * n + 1)
+    for j in range(n + 1):
+        den[2 * j] = -math.comb(n, j) if (n - j) % 2 else math.comb(n, j)
+    return QScalar._raw(n, P_ONE, tuple(den))
+
+
+def _term_scalar(lo, cs, c):
+    """q^lo * cs(q) * c for a canonical scalar c: one product, none for +-q^lo."""
+    if cs == P_ONE:
+        return QScalar._raw(c.val + lo, c.num, c.den)
+    if cs == (-1,):
+        return QScalar._raw(c.val + lo, p_neg(c.num), c.den)
+    return QScalar._raw(lo, cs, P_ONE) * c
+
+
+def _index_state(k, rule, t, names):
+    """The state of the triple t after the letters names, one rule at a time."""
+    a, b, c = t
+    state = (a, b, 0, {c: (0, P_ONE)})
+    for name in names:
+        state = rule(k, state, name)
+    return state
 
 
 # Products of two triples at one index, keyed by (kappa, t1, t2): a tuple of
@@ -121,12 +171,15 @@ def _index_product(v, p, t1, t2):
     key = (k, t1, t2)
     pairs = _products.get(key)
     if pairs is None:
-        terms = {t1: scalars.ONE}
-        for name in _triple_word(t2):
-            terms = _append_right(k, terms, name)
-        # a scalar equal to 1 is stored as scalars.ONE itself, which the
-        # product loop skips by identity
-        pairs = tuple((t, scalars.ONE if c == 1 else c) for t, c in terms.items())
+        a, b, n, terms = _index_state(k, _append_right, t1, _triple_word(t2))
+        qd = _qd_power(n)
+        pairs = []
+        for c, (lo, cs) in terms.items():
+            s = _term_scalar(lo, cs, qd)
+            # a scalar equal to 1 is stored as scalars.ONE itself, which the
+            # product loop skips by identity
+            pairs.append(((a, b, c), scalars.ONE if s == 1 else s))
+        pairs = tuple(pairs)
         scalars.remember(_products, key, pairs, _PRODUCT_TABLE_MAX)
     return pairs
 
@@ -270,7 +323,9 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
     """Canonical form of coeff * word, rewriting from one chosen end.
 
     Letters at distinct indices commute, so each index's subword is reduced
-    on its own triples and the results are multiplied out at the end.
+    on its own integer state and the indices are multiplied out at the end
+    as integer polynomials over one shared (q - q^-1)^-N; each output term
+    then becomes one scalar.
     """
     if strategy == "left":
         rule, letters = _append_right, word
@@ -291,31 +346,49 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
             subwords[idx] = [name]
         else:
             names.append(name)
-    one = scalars.ONE
     base = list(unit_mono(v))  # the triples of the one-term indices
-    wide = []  # (position, triples) of the indices with several terms
+    shift = 0  # the q-exponent they contribute
+    wide = []  # (position, a, b, terms) of the indices with several terms
+    N = 0
     for idx, names in subwords.items():
         # the first letter rewrites the unit triple to its own triple
-        terms = {_LETTER_TRIPLES[names[0]]: one}
-        k = v.kappa(idx)
-        for name in names[1:]:
-            terms = rule(k, terms, name)
-        if len(terms) == 1:
-            ((t, s),) = terms.items()
+        t = _LETTER_TRIPLES[names[0]]
+        if len(names) == 1:
             base[idx - 1] = t
-            if s is not one:
-                coeff = coeff * s
+            continue
+        a, b, n, terms = _index_state(v.kappa(idx), rule, t, names[1:])
+        if n:
+            N += n
+            wide.append((idx - 1, a, b, terms))
         else:
-            wide.append((idx - 1, terms))
-    out = {tuple(base): coeff}
-    for p, terms in wide:
+            # no x-d rewrite: one term, q^lo
+            ((c, (lo, _)),) = terms.items()
+            base[idx - 1] = (a, b, c)
+            shift += lo
+    if not wide:
+        if shift:
+            coeff = _term_scalar(shift, P_ONE, coeff)
+        return WeylElement(v, {tuple(base): coeff})
+    # each index's state and each integer product is dropped once used, so
+    # a long word never holds its polynomials twice
+    out = {tuple(base): (shift, P_ONE)}
+    while wide:
+        p, a, b, terms = wide.pop()
         # distinct indices: no two (monomial, triple) pairs give one monomial
         out = {
-            m[:p] + (t,) + m[p + 1 :]: c if s is one else c * s
-            for m, c in out.items()
-            for t, s in terms.items()
+            m[:p] + ((a, b, c),) + m[p + 1 :]: (
+                lo1 + lo2,
+                cs2 if cs1 is P_ONE else p_mul(cs1, cs2),
+            )
+            for m, (lo1, cs1) in out.items()
+            for c, (lo2, cs2) in terms.items()
         }
-    return WeylElement(v, out)
+    coeff = coeff * (_QD if N == 1 else _qd_power(N))
+    terms = {}
+    for m in list(out):
+        lo, cs = out.pop(m)
+        terms[m] = _term_scalar(lo, cs, coeff)
+    return WeylElement(v, terms)
 
 
 def reduce_expr(v, expr):
@@ -474,21 +547,35 @@ def check_weyl_relations(v):
     return checks
 
 
-def check_well_defined_one(spec, prefix, relations):
+def check_well_defined_one(spec, prefix, relations, reduced=None):
     """Map relation sides through a substitution's letter images and compare.
 
     Works on free words, so it is exactly the well-definedness test; an
     antimultiplicative image table reverses the sides on its own.
     relations is relation_instances(spec.variant), built once by the caller.
+    reduced, a dict the caller shares between the tables of one run, keeps
+    the reduced sides of each relation by id: a multiplicative table without
+    a coefficient twist that fixes every letter of a relation maps its sides
+    to exactly those.
     """
+    v = spec.variant
+    fixed = ()
+    if reduced is not None and not (spec.antimultiplicative or spec.bar_twist):
+        fixed = {
+            l
+            for l, img in spec.images.items()
+            if img.terms == {letter_mono(v, *l): scalars.ONE}
+        }
     checks = []
     for rid, desc, lhs, rhs in relations:
+        if fixed and fixed.issuperset(l for e in (lhs, rhs) for w in e.terms for l in w):
+            sides = reduced.get(rid)
+            if sides is None:
+                sides = reduced[rid] = (reduce_expr(v, lhs), reduce_expr(v, rhs))
+            left, right = sides
+        else:
+            left, right = spec.apply_free(lhs), spec.apply_free(rhs)
         checks.append(
-            equality_check(
-                prefix + rid,
-                "%s preserves %s" % (spec.label, desc),
-                spec.apply_free(lhs),
-                spec.apply_free(rhs),
-            )
+            equality_check(prefix + rid, "%s preserves %s" % (spec.label, desc), left, right)
         )
     return checks

@@ -31,6 +31,27 @@ def test_normalize_non_shape_denominators(capsys):
     )
 
 
+def test_normalize_long_same_index_subwords(capsys):
+    # long x/d subwords at the weight-2 index 4 and at index 2 with a rational
+    # coefficient: every term of a subword shares one (q - q^-1)^-N
+    expr = "3/4 x4^3 d4^5 x4^2 m4^-1 d4 x4 - q^2 d2 x2 d2 x2^2 m2"
+    rc, out, _ = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "3"])
+    assert rc == 0
+    assert out == (
+        "((-4*q^10 + 16*q^8 - 24*q^6 + 16*q^4 - 4*q^2)*x2 m2^3"
+        " + (8*q^6 - 32*q^4 + 48*q^2 - 32 + 8*q^-2)*x2 m2 + (-4*q^2"
+        " + 16 - 24*q^-2 + 16*q^-4 - 4*q^-6)*x2 m2^-1 + 3*q^2*m4^5"
+        " + (-3*q^10 - 3*q^6 - 3*q^2 - 6*q^-2 - 3*q^-6)*m4^3 + (3*q^14 + 3*q^10"
+        " + 9*q^6 + 9*q^2 + 9*q^-2 + 6*q^-6 + 6*q^-10)*m4"
+        " + (-3*q^14 - 6*q^10 - 9*q^6 - 12*q^2 - 12*q^-2 - 9*q^-6 - 6*q^-10 - 3*q^-14)*m4^-1"
+        " + (6*q^10 + 6*q^6 + 9*q^2 + 9*q^-2 + 9*q^-6 + 3*q^-10"
+        " + 3*q^-14)*m4^-3 + (-3*q^6 - 6*q^2 - 3*q^-2 - 3*q^-6 - 3*q^-10)*m4^-5"
+        " + 3*q^-2*m4^-7)/(4*q^6 - 24*q^4 + 60*q^2 - 80 + 60*q^-2 - 24*q^-4"
+        " + 4*q^-6)"
+        "\n"
+    )
+
+
 def test_apply_braid_depends_on_rank(capsys):
     argv = ["apply", "m2", "--op", "T", "--i", "2", "--e", "-1", "--kind", "prime"]
     rc, out, _ = run(capsys, argv + ["--variant", "jmath", "--rank", "2"])

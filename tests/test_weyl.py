@@ -1,6 +1,7 @@
 """Canonical-form reduction and products in the modified q-Weyl algebra."""
 
 import random
+from operator import sub
 
 import pytest
 
@@ -438,7 +439,79 @@ def test_index_product_matches_the_left_rule(monkeypatch):
             for t1 in triples:
                 for t2 in triples:
                     word = weyl._triple_word(t1) + weyl._triple_word(t2)
-                    terms = {(0, 0, 0): scalars.ONE}
+                    state = (0, 0, 0, {0: (0, scalars.P_ONE)})
                     for name in reversed(word):
-                        terms = weyl._append_left(k, terms, name)
-                    assert dict(weyl._index_product(v, p, t1, t2)) == terms
+                        state = weyl._append_left(k, state, name)
+                    a, b, n, terms = state
+                    # the state stands for (q - q^-1)^-n sum_c q^lo cs(q) x^a d^b m^c
+                    expect = {
+                        (a, b, c): qpow(lo) * QScalar(cs) * QD**n
+                        for c, (lo, cs) in terms.items()
+                    }
+                    assert dict(weyl._index_product(v, p, t1, t2)) == expect
+
+
+def _rebuilt(s):
+    """The scalar s rebuilt through the validating constructor."""
+    if s.val >= 0:
+        return QScalar(scalars.p_shift(s.num, s.val), s.den)
+    return QScalar(s.num, scalars.p_shift(s.den, -s.val))
+
+
+def test_qd_power_is_the_power_of_qd():
+    for n in range(25):
+        # q^n / (q^2 - 1)^n, its denominator from binomial coefficients
+        got = weyl._qd_power(n)
+        assert got == QD**n
+        r = _rebuilt(got)
+        assert (got.val, got.num, got.den) == (r.val, r.num, r.den)
+
+
+def test_reduce_word_long_same_index_subwords():
+    # 12-14 x/d letters at the top index r + 1 (kappa 2 in jmath) and at the
+    # kappa-1 index 1, shuffled with m^+-1 letters, through both strategies;
+    # the reference multiplies the letters one at a time through __mul__
+    rng = random.Random(6174)
+    coeffs = (
+        scalars.ONE,
+        qpow(-3),
+        scalars.from_frac(-5, 7),
+        QScalar((1,), (1, 0, 1)),  # 1/(q^2 + 1): no (q - 1)^a (q + 1)^b shape
+        QScalar((0, 3), (-1, 0, 1)) * QScalar((1, 1, 1)),
+    )
+    for v in (J2, I2):
+        top = v.rank + 1
+        for n in range(8):
+            word = [(rng.choice("xd"), top) for _ in range(12 + n % 3)]
+            word += [(rng.choice("xd"), 1) for _ in range(12 + n % 2)]
+            word += [(rng.choice(("m", "mi")), rng.choice((1, top, 2))) for _ in range(6)]
+            rng.shuffle(word)
+            word = tuple(word)
+            coeff = coeffs[n % len(coeffs)]
+            expect = WeylElement.unit(v)
+            for name, i in word:
+                expect = expect * gen(v, name, i)
+            expect = expect.scale(coeff)
+            assert len(expect.terms) > 1
+            for strategy in ("left", "right"):
+                got = reduce_word(v, word, coeff, strategy)
+                assert got == expect, (v, word, coeff, strategy)
+                for s in got.terms.values():
+                    r = _rebuilt(s)
+                    assert (s.val, s.num, s.den) == (r.val, r.num, r.den)
+
+
+def test_integer_term_accumulation_trims_and_drops():
+    # out[c] +- q^lo * cs on (lo, coefficient tuple) pairs; no word in the
+    # tests cancels a sum, so the trimming branches are driven directly
+    out = {}
+    weyl._lacc(out, 0, -1, (2, 0, 3), sub)  # -2q^-1 - 3q
+    assert out == {0: (-1, (-2, 0, -3))}
+    weyl._lacc(out, 0, -1, (2, 1))  # leading terms cancel
+    assert out == {0: (0, (1, -3))}
+    weyl._lacc(out, 0, 0, (2, 3))  # trailing terms cancel
+    assert out == {0: (0, (3,))}
+    weyl._lacc(out, 0, 2, (5,))  # the span widens
+    assert out == {0: (0, (3, 0, 5))}
+    weyl._lacc(out, 0, 0, (3, 0, 5), sub)  # everything cancels
+    assert out == {}
