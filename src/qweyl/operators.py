@@ -108,11 +108,9 @@ def psi_op(v):
 def check_well_defined(v, e):
     """Every braid table at sign e, plus omega and psi, preserves relations.
 
-    The relations are built once and mapped through every table; the sides
-    of a relation whose letters a table fixes are reduced once and shared.
+    The relations are built once and mapped through every table.
     """
     rels = relation_instances(v)
-    reduced = {}
     specs = [
         (braid_op(v, i, e, kind), "%s/i=%d/" % (kind, i))
         for kind in BRAID_KINDS
@@ -121,9 +119,7 @@ def check_well_defined(v, e):
     specs += [(omega_op(v), "omega/"), (psi_op(v), "psi/")]
     checks = []
     for spec, tag in specs:
-        checks.extend(
-            check_well_defined_one(spec, "endo-well-defined/" + tag, rels, reduced)
-        )
+        checks.extend(check_well_defined_one(spec, "endo-well-defined/" + tag, rels))
     return checks
 
 

@@ -13,13 +13,10 @@ The rewrites act at one index, so words are reduced and monomials
 multiplied one index at a time.
 """
 
-import math
-from operator import add, neg, sub
-
 from . import scalars
 from .expressions import FreeExpr, Terms, acc, letter_tag
 from .report import equality_check
-from .scalars import P_ONE, QScalar, p_mul, p_neg, qpow
+from .scalars import P_ONE, QScalar, p_add, p_mul, p_neg, p_shift, p_val, qpow
 
 WEYL_LETTER_NAMES = ("d", "x", "m", "mi")
 
@@ -61,28 +58,20 @@ def validate_letter(v, name, idx):
 # terms and the rules below add and shift integer polynomials only.
 
 
-def _lacc(out, c, lo, cs, op=add):
-    """out[c] = op(out[c], q^lo * cs) for op add or sub; a sum that cancels drops c."""
+def _lacc(out, c, lo, cs):
+    """out[c] += q^lo * cs; a sum that cancels drops c."""
     old = out.get(c)
     if old is None:
-        out[c] = (lo, cs if op is add else tuple(map(neg, cs)))
+        out[c] = (lo, cs)
         return
     lo2, cs2 = old
     start = min(lo, lo2)
-    end = max(lo + len(cs), lo2 + len(cs2))
-    buf = [0] * (lo2 - start) + list(cs2) + [0] * (end - lo2 - len(cs2))
-    i = lo - start
-    j = i + len(cs)
-    buf[i:j] = map(op, buf[i:j], cs)
-    i, j = 0, len(buf)
-    while i < j and not buf[i]:
-        i += 1
-    if i == j:
+    cs = p_add(p_shift(cs, lo - start), p_shift(cs2, lo2 - start))
+    if not cs:
         del out[c]
         return
-    while not buf[j - 1]:
-        j -= 1
-    out[c] = (start + i, tuple(buf[i:j]))
+    i = p_val(cs)
+    out[c] = (start + i, cs[i:])
 
 
 def _append_right(k, state, name):
@@ -97,7 +86,7 @@ def _append_right(k, state, name):
             return a + 1, 0, n, {c: (lo + k * c, cs) for c, (lo, cs) in terms.items()}
         for c, (lo, cs) in terms.items():
             _lacc(out, c + 1, lo + k * (c + 1), cs)
-            _lacc(out, c - 1, lo + k * (c - 1), cs, sub)
+            _lacc(out, c - 1, lo + k * (c - 1), p_neg(cs))
         return a, b - 1, n + 1, out
     # name == "d"
     if a == 0:
@@ -105,7 +94,7 @@ def _append_right(k, state, name):
     for c, (lo, cs) in terms.items():
         lo -= k * c
         _lacc(out, c + 1, lo, cs)
-        _lacc(out, c - 1, lo, cs, sub)
+        _lacc(out, c - 1, lo, p_neg(cs))
     return a - 1, 0, n + 1, out
 
 
@@ -127,16 +116,8 @@ def _append_left(k, state, name):
     out = {}
     for c, (lo, cs) in terms.items():
         _lacc(out, c + 1, lo + e, cs)
-        _lacc(out, c - 1, lo - e, cs, sub)
+        _lacc(out, c - 1, lo - e, p_neg(cs))
     return a, b, n + 1, out
-
-
-def _qd_power(n):
-    """(q - q^-1)^-n = q^n / (q^2 - 1)^n, the denominator from binomial coefficients."""
-    den = [0] * (2 * n + 1)
-    for j in range(n + 1):
-        den[2 * j] = -math.comb(n, j) if (n - j) % 2 else math.comb(n, j)
-    return QScalar._raw(n, P_ONE, tuple(den))
 
 
 def _term_scalar(lo, cs, c):
@@ -172,7 +153,7 @@ def _index_product(v, p, t1, t2):
     pairs = _products.get(key)
     if pairs is None:
         a, b, n, terms = _index_state(k, _append_right, t1, _triple_word(t2))
-        qd = _qd_power(n)
+        qd = _QD ** n
         pairs = []
         for c, (lo, cs) in terms.items():
             s = _term_scalar(lo, cs, qd)
@@ -383,7 +364,7 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
             for m, (lo1, cs1) in out.items()
             for c, (lo2, cs2) in terms.items()
         }
-    coeff = coeff * (_QD if N == 1 else _qd_power(N))
+    coeff = coeff * _QD ** N
     terms = {}
     for m in list(out):
         lo, cs = out.pop(m)
@@ -547,35 +528,21 @@ def check_weyl_relations(v):
     return checks
 
 
-def check_well_defined_one(spec, prefix, relations, reduced=None):
+def check_well_defined_one(spec, prefix, relations):
     """Map relation sides through a substitution's letter images and compare.
 
     Works on free words, so it is exactly the well-definedness test; an
     antimultiplicative image table reverses the sides on its own.
     relations is relation_instances(spec.variant), built once by the caller.
-    reduced, a dict the caller shares between the tables of one run, keeps
-    the reduced sides of each relation by id: a multiplicative table without
-    a coefficient twist that fixes every letter of a relation maps its sides
-    to exactly those.
     """
-    v = spec.variant
-    fixed = ()
-    if reduced is not None and not (spec.antimultiplicative or spec.bar_twist):
-        fixed = {
-            l
-            for l, img in spec.images.items()
-            if img.terms == {letter_mono(v, *l): scalars.ONE}
-        }
     checks = []
     for rid, desc, lhs, rhs in relations:
-        if fixed and fixed.issuperset(l for e in (lhs, rhs) for w in e.terms for l in w):
-            sides = reduced.get(rid)
-            if sides is None:
-                sides = reduced[rid] = (reduce_expr(v, lhs), reduce_expr(v, rhs))
-            left, right = sides
-        else:
-            left, right = spec.apply_free(lhs), spec.apply_free(rhs)
         checks.append(
-            equality_check(prefix + rid, "%s preserves %s" % (spec.label, desc), left, right)
+            equality_check(
+                prefix + rid,
+                "%s preserves %s" % (spec.label, desc),
+                spec.apply_free(lhs),
+                spec.apply_free(rhs),
+            )
         )
     return checks
