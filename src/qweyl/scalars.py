@@ -1,11 +1,13 @@
 """Exact arithmetic in Q(q), the field of rational functions in q.
 
 A scalar is q^val * num/den: val is an int, and num and den are coprime
-integer polynomials stored as dense coefficient tuples (index = power of q,
-no trailing zeros), each with a nonzero constant term.  Canonical form:
-gcd(num, den) = 1 including integer content, den has positive leading
-coefficient, zero is q^0 * ()/(1,).  A power of q is the integer val alone,
-so products of q-powers and the bar involution cost O(1) in the exponent.
+integer polynomials, each with a nonzero constant term.  num is stored as a
+dense coefficient tuple (index = power of q, no trailing zeros), den as its
+factors (c, a, b, r), see D_ONE below; the property den multiplies them out.
+Canonical form: gcd(num, den) = 1 including integer content, den has
+positive leading coefficient, zero is q^0 * ()/(1,).  A power of q is the
+integer val alone, so products of q-powers and the bar involution cost O(1)
+in the exponent.
 """
 
 import math
@@ -38,6 +40,10 @@ def p_neg(a):
 def p_mul(a, b):
     if not a or not b:
         return P_ZERO
+    if a == P_ONE:
+        return b
+    if b == P_ONE:
+        return a
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -152,27 +158,15 @@ def p_div_exact(a, b):
     return p_trim(out)
 
 
-# Denominator shapes.  The relations only ever divide by q^k and q - q^-1,
-# and q^k lives in val, so almost every denominator is c*(q-1)^a*(q+1)^b,
-# stored as the shape (c, a, b).  Against such a denominator the gcd needs
-# no polynomial remainders: integer content and divisibility by q -+ 1 read
-# off n(1) and n(-1).  Both tables are bounded and start over when full.
+# Factored denominators.  A denominator is stored as the factors (c, a, b, r)
+# of c*(q-1)^a*(q+1)^b*r: c > 0, r primitive with positive leading
+# coefficient and r(0), r(1), r(-1) nonzero, which makes the split unique.
+# Products add exponents, and cancelling reads integer content and
+# divisibility by q -+ 1 off n(1) and n(-1); only a cofactor r != 1 needs
+# polynomial remainders.  The relations only ever divide by q^k and
+# q - q^-1, and q^k lives in val, so all their denominators have r = 1.
 
-_SHAPE_TABLE_MAX = 2048
-_shape_of = {}  # denominator tuple -> shape, or None when it has none
-_shape_poly = {}  # shape -> denominator tuple
-_UNSEEN = object()
-
-
-def remember(table, key, value, cap):
-    """table[key] = value in a table of at most cap entries.
-
-    A full table is emptied first: every entry can be computed again, and
-    starting over needs no record of which entry is oldest.
-    """
-    if len(table) >= cap:
-        table.clear()
-    table[key] = value
+D_ONE = (1, 0, 0, P_ONE)
 
 
 def _div_q_minus_1(n):
@@ -194,109 +188,102 @@ def _at_minus_1(n):
     return sum(n[::2]) - sum(n[1::2])
 
 
-def _find_shape(p):
+def _split(p):
+    """The factors (c, a, b, r) of p, p(0) != 0, c signed like p's leading term."""
     c = p_content(p)
     if p[-1] < 0:
         c = -c
     if c != 1:
         p = tuple(x // c for x in p)
     a = 0
-    while len(p) > 1 and not sum(p):
+    while not sum(p):
         p = _div_q_minus_1(p)
         a += 1
     b = 0
-    while len(p) > 1 and not _at_minus_1(p):
+    while not _at_minus_1(p):
         p = _div_q_plus_1(p)
         b += 1
-    return (c, a, b) if p == P_ONE else None
+    return c, a, b, p
 
 
-def _shape(d):
-    """(c, a, b) with d = c*(q-1)^a*(q+1)^b, or None."""
-    s = _shape_of.get(d, _UNSEEN)
-    if s is _UNSEEN:
-        s = _find_shape(d)
-        remember(_shape_of, d, s, _SHAPE_TABLE_MAX)
-    return s
-
-
-def _from_shape(s):
-    """The polynomial of a shape; registers its shape for _shape."""
-    d = _shape_poly.get(s)
-    if d is None:
-        c, a, b = s
-        d = (c,)
-        for _ in range(a):
-            d = p_mul(d, (-1, 1))
-        for _ in range(b):
-            d = p_mul(d, (1, 1))
-        remember(_shape_poly, s, d, _SHAPE_TABLE_MAX)
-        remember(_shape_of, d, s, _SHAPE_TABLE_MAX)
-    return d
+def _expand(p, c, a, b, r):
+    """p*c*(q-1)^a*(q+1)^b*r as one polynomial."""
+    if c == 1 and not a and not b:
+        return p_mul(p, r)
+    # one list for every (q -+ 1) factor: no tuple per factor
+    out = [x * c for x in p]
+    for _ in range(a):
+        out.append(0)
+        for i in range(len(out) - 1, 0, -1):
+            out[i] = out[i - 1] - out[i]
+        out[0] = -out[0]
+    for _ in range(b):
+        out.append(0)
+        for i in range(len(out) - 1, 0, -1):
+            out[i] += out[i - 1]
+    return p_mul(tuple(out), r)
 
 
 def _cancel(n, d):
-    """(n/g, d/g) for g = p_gcd(n, d), n nonzero, d(0) nonzero."""
-    s = _shape(d)
-    if s is None:
-        g = p_gcd(n, d)
-        if g == P_ONE:
-            return n, d
-        return p_div_exact(n, g), p_div_exact(d, g)
-    c, a, b = s
-    s0 = s
-    g = math.gcd(c, *n)
-    if g != 1:
-        n = tuple(x // g for x in n)
-        c //= g
-    k = 0
-    while k < a and not sum(n):
+    """(n/g, d/g) for g = gcd(n, d): n a nonzero polynomial, d factored."""
+    c, a, b, r = d
+    if c != 1:
+        g = math.gcd(c, *n)
+        if g != 1:
+            n = tuple(x // g for x in n)
+            c //= g
+    while a and not sum(n):
         n = _div_q_minus_1(n)
-        k += 1
-    a -= k
-    k = 0
-    while k < b and not _at_minus_1(n):
+        a -= 1
+    while b and not _at_minus_1(n):
         n = _div_q_plus_1(n)
-        k += 1
-    b -= k
-    s = (c, a, b)
-    return n, (d if s == s0 else _from_shape(s))
+        b -= 1
+    if r != P_ONE:
+        g = p_gcd(n, r)
+        if g != P_ONE:
+            n, r = p_div_exact(n, g), p_div_exact(r, g)
+    out = c, a, b, r
+    # an unchanged denominator stays shared
+    return n, (d if out == d else out)
 
 
 def _den_mul(d1, d2):
-    """d1*d2, by adding shapes when both denominators have one."""
-    s1 = _shape(d1)
-    s2 = _shape(d2)
-    if s1 is None or s2 is None:
-        return p_mul(d1, d2)
-    return _from_shape((s1[0] * s2[0], s1[1] + s2[1], s1[2] + s2[2]))
+    if d1 == D_ONE:
+        return d2
+    if d2 == D_ONE:
+        return d1
+    c1, a1, b1, r1 = d1
+    c2, a2, b2, r2 = d2
+    return c1 * c2, a1 + a2, b1 + b2, p_mul(r1, r2)
+
+
+def _den_lcm(d1, d2):
+    c1, a1, b1, r1 = d1
+    c2, a2, b2, r2 = d2
+    if r1 == P_ONE or r2 == P_ONE:
+        r = p_mul(r1, r2)
+    else:
+        r = p_mul(r1, p_div_exact(r2, p_gcd(r1, r2)))
+    return math.lcm(c1, c2), max(a1, a2), max(b1, b2), r
+
+
+def _over(n, m, d):
+    """n * m/d, for factored denominators d dividing m."""
+    c, a, b, r = d
+    cm, am, bm, rm = m
+    f = rm if r == P_ONE else p_div_exact(rm, r)
+    return _expand(n, cm // c, am - a, bm - b, f)
 
 
 def _reduce(val, num, den):
-    """(val, num, den) of q^val * num/den in canonical form, given den(0) != 0."""
+    """(val, num, den) of q^val * num/den in canonical form, den factored."""
     if not num:
-        return 0, P_ZERO, P_ONE
+        return 0, P_ZERO, D_ONE
     j = p_val(num)
     num = num[j:]
-    if den != P_ONE:
+    if den != D_ONE:
         num, den = _cancel(num, den)
-        if den[-1] < 0:
-            num, den = p_neg(num), p_neg(den)
     return val + j, num, den
-
-
-def p_lcm(a, b):
-    if a == P_ONE:
-        return _pos(b)
-    if b == P_ONE:
-        return _pos(a)
-    sa = _shape(a)
-    sb = _shape(b)
-    if sa is not None and sb is not None:
-        c = math.lcm(sa[0], sb[0])
-        return _from_shape((c,) + tuple(map(max, sa[1:], sb[1:])))
-    g = p_gcd(a, b)
-    return _pos(p_mul(a, p_div_exact(b, g)))
 
 
 def poly_str(p, shift=0):
@@ -323,7 +310,7 @@ def poly_str(p, shift=0):
 
 
 class QScalar:
-    __slots__ = ("val", "num", "den")
+    __slots__ = ("val", "num", "dfac")
 
     def __init__(self, num=P_ZERO, den=P_ONE):
         if isinstance(num, int):
@@ -335,16 +322,24 @@ class QScalar:
         if not den:
             raise ZeroDivisionError("zero divisor")
         j = p_val(den)
-        self.val, self.num, self.den = _reduce(-j, num, den[j:])
+        c, a, b, r = _split(den[j:])
+        if c < 0:
+            num, c = p_neg(num), -c
+        self.val, self.num, self.dfac = _reduce(-j, num, (c, a, b, r))
 
     @staticmethod
-    def _raw(val, num, den):
-        # trusted constructor: (val, num, den) already canonical
+    def _raw(val, num, dfac):
+        # trusted constructor: (val, num, dfac) already canonical
         s = object.__new__(QScalar)
         s.val = val
         s.num = num
-        s.den = den
+        s.dfac = dfac
         return s
+
+    @property
+    def den(self):
+        """The denominator polynomial, multiplied out from its factors."""
+        return _expand(P_ONE, *self.dfac)
 
     @property
     def is_zero(self):
@@ -357,23 +352,23 @@ class QScalar:
         other = _wrap(other)
         if other is None:
             return NotImplemented
-        return self.val == other.val and self.num == other.num and self.den == other.den
+        return self.val == other.val and self.num == other.num and self.dfac == other.dfac
 
     def __hash__(self):
         # an integer-valued scalar equals that int, so it must hash like it
-        if not self.val and self.den == P_ONE and len(self.num) <= 1:
+        if not self.val and self.dfac == D_ONE and len(self.num) <= 1:
             return hash(self.num[0] if self.num else 0)
-        return hash((self.val, self.num, self.den))
+        return hash((self.val, self.num, self.dfac))
 
     def __neg__(self):
-        return QScalar._raw(self.val, p_neg(self.num), self.den)
+        return QScalar._raw(self.val, p_neg(self.num), self.dfac)
 
     def __add__(self, other):
         other = _wrap(other)
         if other is None:
             return NotImplemented
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
+        n1, d1 = self.num, self.dfac
+        n2, d2 = other.num, other.dfac
         if not n1:
             return other
         if not n2:
@@ -383,8 +378,9 @@ class QScalar:
         n2 = p_shift(n2, other.val - v)
         if d1 == d2:
             return QScalar._raw(*_reduce(v, p_add(n1, n2), d1))
-        num = p_add(p_mul(n1, d2), p_mul(n2, d1))
-        return QScalar._raw(*_reduce(v, num, _den_mul(d1, d2)))
+        d = _den_lcm(d1, d2)
+        num = p_add(_over(n1, d, d1), _over(n2, d, d2))
+        return QScalar._raw(*_reduce(v, num, d))
 
     __radd__ = __add__
 
@@ -404,19 +400,19 @@ class QScalar:
         other = _wrap(other)
         if other is None:
             return NotImplemented
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
+        n1, d1 = self.num, self.dfac
+        n2, d2 = other.num, other.dfac
         if not n1 or not n2:
             return ZERO
         v = self.val + other.val
-        if n1 == P_ONE and d1 == P_ONE:
+        if n1 == P_ONE and d1 == D_ONE:
             return QScalar._raw(v, n2, d2) if self.val else other
-        if n2 == P_ONE and d2 == P_ONE:
+        if n2 == P_ONE and d2 == D_ONE:
             return QScalar._raw(v, n1, d1) if other.val else self
-        if d1 == P_ONE and d2 == P_ONE:
-            return QScalar._raw(v, p_mul(n1, n2), P_ONE)
-        n1, d2 = _cancel(n1, d2)
-        n2, d1 = _cancel(n2, d1)
+        if d2 != D_ONE:
+            n1, d2 = _cancel(n1, d2)
+        if d1 != D_ONE:
+            n2, d1 = _cancel(n2, d1)
         return QScalar._raw(v, p_mul(n1, n2), _den_mul(d1, d2))
 
     __rmul__ = __mul__
@@ -424,10 +420,11 @@ class QScalar:
     def inv(self):
         if not self.num:
             raise ZeroDivisionError("zero divisor")
-        n, d = self.den, self.num
-        if d[-1] < 0:
-            n, d = p_neg(n), p_neg(d)
-        return QScalar._raw(-self.val, n, d)
+        c, a, b, r = _split(self.num)
+        n = self.den
+        if c < 0:
+            n, c = p_neg(n), -c
+        return QScalar._raw(-self.val, n, (c, a, b, r))
 
     def __truediv__(self, other):
         other = _wrap(other)
@@ -446,23 +443,31 @@ class QScalar:
             return ONE
         if k < 0:
             return self.inv() ** (-k)
-        return QScalar._raw(self.val * k, p_pow(self.num, k), p_pow(self.den, k))
+        c, a, b, r = self.dfac
+        d = c**k, a * k, b * k, p_pow(r, k)
+        return QScalar._raw(self.val * k, p_pow(self.num, k), d)
 
     def bar(self):
         """The involution q -> q^-1."""
-        n, d = self.num, self.den
+        n = self.num
         if not n:
             return ZERO
-        # p(q^-1) = q^-deg(p) * (p reversed), and reversal keeps both
-        # constant terms nonzero
-        n, d = n[::-1], d[::-1]
-        if d[-1] < 0:
-            n, d = p_neg(n), p_neg(d)
-        return QScalar._raw(len(d) - len(n) - self.val, n, d)
+        # p(q^-1) = q^-deg(p) * (p reversed), and reversal keeps the
+        # constant terms nonzero; (q - 1)(q^-1) = -q^-1 (q - 1) and
+        # (q + 1)(q^-1) = q^-1 (q + 1), so only r is reversed
+        c, a, b, r = self.dfac
+        n = n[::-1]
+        if a % 2:
+            n = p_neg(n)
+        if len(r) > 1:
+            r = r[::-1]
+            if r[-1] < 0:
+                n, r = p_neg(n), p_neg(r)
+        return QScalar._raw(a + b + len(r) - len(n) - self.val, n, (c, a, b, r))
 
     def __str__(self):
         ns = poly_str(self.num, max(self.val, 0))
-        if self.den == P_ONE and self.val >= 0:
+        if self.dfac == D_ONE and self.val >= 0:
             return ns
         return "(%s)/(%s)" % (ns, poly_str(self.den, max(-self.val, 0)))
 
@@ -478,9 +483,9 @@ def _wrap(x):
     return None
 
 
-ZERO = QScalar._raw(0, P_ZERO, P_ONE)
-ONE = QScalar._raw(0, P_ONE, P_ONE)
-MINUS_ONE = QScalar._raw(0, (-1,), P_ONE)
+ZERO = QScalar._raw(0, P_ZERO, D_ONE)
+ONE = QScalar._raw(0, P_ONE, D_ONE)
+MINUS_ONE = QScalar._raw(0, (-1,), D_ONE)
 
 # weyl and polymod compare ONE by identity, so qpow(0) and from_int(0/1/-1)
 # return the module constants.
@@ -489,7 +494,7 @@ _SMALL_INTS = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 
 def from_int(c):
     s = _SMALL_INTS.get(c)
-    return QScalar._raw(0, (c,), P_ONE) if s is None else s
+    return QScalar._raw(0, (c,), D_ONE) if s is None else s
 
 
 def from_frac(a, b):
@@ -498,14 +503,14 @@ def from_frac(a, b):
 
 def qpow(k):
     """q^k as a scalar, for any integer k."""
-    return QScalar._raw(k, P_ONE, P_ONE) if k else ONE
+    return QScalar._raw(k, P_ONE, D_ONE) if k else ONE
 
 
 def qint(n):
     """Quantum integer [n] = (q^n - q^-n)/(q - q^-1)."""
     if n <= 0:
         return -qint(-n) if n else ZERO
-    return QScalar._raw(1 - n, (1, 0) * (n - 1) + (1,), P_ONE)
+    return QScalar._raw(1 - n, (1, 0) * (n - 1) + (1,), D_ONE)
 
 
 def qfact(n):
@@ -528,6 +533,15 @@ def qdoublefact(a):
     return s
 
 
+def laurent_times(lo, cs, c):
+    """q^lo * cs(q) * c, cs(0) != 0: one product, none for cs = +-1."""
+    if cs == P_ONE:
+        return QScalar._raw(c.val + lo, c.num, c.dfac)
+    if cs == (-1,):
+        return QScalar._raw(c.val + lo, p_neg(c.num), c.dfac)
+    return QScalar._raw(lo, cs, D_ONE) * c
+
+
 def laurent_over_common_den(scalars):
     """Express scalars over one balanced common denominator.
 
@@ -536,16 +550,14 @@ def laurent_over_common_den(scalars):
     denominator is needed.  The shift -h centers the denominator so that
     q^2 - 1 is presented as q - q^-1.
     """
-    D = P_ONE
+    D = D_ONE
     for s in scalars:
-        if s.den != P_ONE:
-            D = p_lcm(D, s.den)
-    h = (len(D) - 1) // 2
-    nums = []
-    for s in scalars:
-        f = D if s.den == P_ONE else p_div_exact(D, s.den)
-        nums.append((s.val - h, p_mul(s.num, f) if f != P_ONE else s.num))
-    return nums, (-h, D)
+        if s.dfac != D_ONE:
+            D = _den_lcm(D, s.dfac)
+    c, a, b, r = D
+    h = (a + b + len(r) - 1) // 2
+    nums = [(s.val - h, _over(s.num, D, s.dfac)) for s in scalars]
+    return nums, (-h, _expand(P_ONE, *D))
 
 
 def terms_str(pairs, sep="*"):

@@ -13,10 +13,12 @@ The rewrites act at one index, so words are reduced and monomials
 multiplied one index at a time.
 """
 
+import functools
+
 from . import scalars
 from .expressions import FreeExpr, Terms, acc, letter_tag
 from .report import equality_check
-from .scalars import P_ONE, QScalar, p_add, p_mul, p_neg, p_shift, p_val, qpow
+from .scalars import P_ONE, laurent_times, p_add, p_mul, p_neg, p_shift, p_val, qpow
 
 WEYL_LETTER_NAMES = ("d", "x", "m", "mi")
 
@@ -120,15 +122,6 @@ def _append_left(k, state, name):
     return a, b, n + 1, out
 
 
-def _term_scalar(lo, cs, c):
-    """q^lo * cs(q) * c for a canonical scalar c: one product, none for +-q^lo."""
-    if cs == P_ONE:
-        return QScalar._raw(c.val + lo, c.num, c.den)
-    if cs == (-1,):
-        return QScalar._raw(c.val + lo, p_neg(c.num), c.den)
-    return QScalar._raw(lo, cs, P_ONE) * c
-
-
 def _index_state(k, rule, t, names):
     """The state of the triple t after the letters names, one rule at a time."""
     a, b, c = t
@@ -138,31 +131,22 @@ def _index_state(k, rule, t, names):
     return state
 
 
-# Products of two triples at one index, keyed by (kappa, t1, t2): a tuple of
-# (triple, scalar) pairs, filled from _append_right so the rewrite rules stay
-# written once.  Distinct indices commute, so WeylElement.__mul__ multiplies
-# canonical monomials one index at a time through this table.
-_PRODUCT_TABLE_MAX = 1 << 16
-_products = {}
-
-
-def _index_product(v, p, t1, t2):
-    """The triple t1 times the triple t2 at index p + 1."""
-    k = v.kappa(p + 1)
-    key = (k, t1, t2)
-    pairs = _products.get(key)
-    if pairs is None:
-        a, b, n, terms = _index_state(k, _append_right, t1, _triple_word(t2))
-        qd = _QD ** n
-        pairs = []
-        for c, (lo, cs) in terms.items():
-            s = _term_scalar(lo, cs, qd)
-            # a scalar equal to 1 is stored as scalars.ONE itself, which the
-            # product loop skips by identity
-            pairs.append(((a, b, c), scalars.ONE if s == 1 else s))
-        pairs = tuple(pairs)
-        scalars.remember(_products, key, pairs, _PRODUCT_TABLE_MAX)
-    return pairs
+# Distinct indices commute, so WeylElement.__mul__ multiplies canonical
+# monomials one index at a time.  The products are filled from _append_right,
+# so the rewrite rules stay written once, and memoised: the suites multiply
+# the same few triples over and over.
+@functools.lru_cache(maxsize=1 << 16)
+def _index_product(k, t1, t2):
+    """The (triple, scalar) pairs of t1 times t2 at an index of weight k."""
+    a, b, n, terms = _index_state(k, _append_right, t1, _triple_word(t2))
+    qd = _QD ** n
+    pairs = []
+    for c, (lo, cs) in terms.items():
+        s = laurent_times(lo, cs, qd)
+        # a scalar equal to 1 is stored as scalars.ONE itself, which the
+        # product loop skips by identity
+        pairs.append(((a, b, c), scalars.ONE if s == 1 else s))
+    return tuple(pairs)
 
 
 def _triple_word(t):
@@ -262,7 +246,7 @@ class WeylElement(Terms):
                 partial = [(list(mono1), c)]
                 for p, k, t2 in support:
                     t1 = mono1[p]
-                    pairs = _products.get((k, t1, t2)) or _index_product(v, p, t1, t2)
+                    pairs = _index_product(k, t1, t2)
                     if len(pairs) == 1:
                         ((t, s),) = pairs
                         for m, _ in partial:
@@ -348,7 +332,7 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
             shift += lo
     if not wide:
         if shift:
-            coeff = _term_scalar(shift, P_ONE, coeff)
+            coeff = laurent_times(shift, P_ONE, coeff)
         return WeylElement(v, {tuple(base): coeff})
     # each index's state and each integer product is dropped once used, so
     # a long word never holds its polynomials twice
@@ -357,10 +341,7 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
         p, a, b, terms = wide.pop()
         # distinct indices: no two (monomial, triple) pairs give one monomial
         out = {
-            m[:p] + ((a, b, c),) + m[p + 1 :]: (
-                lo1 + lo2,
-                cs2 if cs1 is P_ONE else p_mul(cs1, cs2),
-            )
+            m[:p] + ((a, b, c),) + m[p + 1 :]: (lo1 + lo2, p_mul(cs1, cs2))
             for m, (lo1, cs1) in out.items()
             for c, (lo2, cs2) in terms.items()
         }
@@ -368,7 +349,7 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
     terms = {}
     for m in list(out):
         lo, cs = out.pop(m)
-        terms[m] = _term_scalar(lo, cs, coeff)
+        terms[m] = laurent_times(lo, cs, coeff)
     return WeylElement(v, terms)
 
 

@@ -10,17 +10,18 @@ import qweyl
 from qweyl import scalars
 from qweyl.scalars import (
     ONE,
+    P_ONE,
     ZERO,
     QScalar,
     _cancel,
-    _from_shape,
-    _shape,
+    _den_lcm,
+    _expand,
+    _split,
     from_frac,
     from_int,
     p_add,
     p_div_exact,
     p_gcd,
-    p_lcm,
     p_mul,
     p_neg,
     p_shift,
@@ -267,6 +268,8 @@ def test_laurent_parts():
     assert (s.val, s.num, s.den) == (-2, (1, 0, 1, 0, 1), (1,))
     s = ONE / (q - qi)
     assert (s.val, s.num, s.den) == (1, (1,), (-1, 0, 1))
+    # stored as its factors: 1 * (q - 1)^1 * (q + 1)^1 * 1
+    assert s.dfac == (1, 1, 1, (1,))
 
 
 def test_qpow_is_an_integer_exponent():
@@ -345,24 +348,34 @@ def _shaped(c, a, b):
 
 
 def test_shape_examples():
-    assert _shape((1, 1)) == (1, 0, 1)
-    assert _shape((-1, 1)) == (1, 1, 0)
+    # _split(p) = (c, a, b, r) with p = c (q - 1)^a (q + 1)^b r
+    assert _split((1, 1)) == (1, 0, 1, P_ONE)
+    assert _split((-1, 1)) == (1, 1, 0, P_ONE)
     for k in range(1, 7):
-        assert _shape(_times((1,), (-1, 0, 1), k)) == (1, k, k)
-    assert _shape(_shaped(2, 2, 2)) == (2, 2, 2)
-    assert _shape((2, 0, -4, 0, 2)) == (2, 2, 2)  # 2(q^2-1)^2
-    assert _shape((1,)) == (1, 0, 0)
-    assert _shape((-3,)) == (-3, 0, 0)
-    assert _shape((1, 0, 1)) is None
-    assert _shape((1, 1, 1)) is None
-    assert _shape((1, 2)) is None
-    assert _shape(_times((1, 0, 1), Q_MINUS_1, 2)) is None
+        assert _split(_times((1,), (-1, 0, 1), k)) == (1, k, k, P_ONE)
+    assert _split(_shaped(2, 2, 2)) == (2, 2, 2, P_ONE)
+    assert _split((2, 0, -4, 0, 2)) == (2, 2, 2, P_ONE)  # 2(q^2-1)^2
+    assert _split((1,)) == (1, 0, 0, P_ONE)
+    assert _split((-3,)) == (-3, 0, 0, P_ONE)
+    # what is not a product of (q - 1) and (q + 1) stays in r: primitive,
+    # positive leading coefficient, sign and content in c
+    assert _split((1, 0, 1)) == (1, 0, 0, (1, 0, 1))
+    assert _split((1, 1, 1)) == (1, 0, 0, (1, 1, 1))
+    assert _split((1, 2)) == (1, 0, 0, (1, 2))
+    assert _split(_times((1, 0, 1), Q_MINUS_1, 2)) == (1, 2, 0, (1, 0, 1))
+    assert _split(_times((-6, 0, -6), Q_PLUS_1, 3)) == (-6, 0, 3, (1, 0, 1))
 
 
 def test_from_shape_round_trip():
     for s in ((1, 0, 0), (3, 1, 0), (-2, 4, 6), (1, 6, 6)):
-        assert _from_shape(s) == _shaped(*s)
-        assert _shape(_from_shape(s)) == s
+        assert _expand(P_ONE, *s, P_ONE) == _shaped(*s)
+        assert _split(_expand(P_ONE, *s, P_ONE)) == s + (P_ONE,)
+    for s in ((1, 0, 0, (1, 0, 1)), (4, 2, 1, (1, 1, 1)), (-3, 0, 5, (2, 0, 0, 1))):
+        d = _expand(P_ONE, *s)
+        assert d == p_mul(_shaped(*s[:3]), s[3])
+        assert _split(d) == s
+    # a numerator times the factors, multiplied out in one list
+    assert _expand((2, -1), 3, 2, 1, (1, 0, 1)) == p_mul((2, -1), _expand(P_ONE, 3, 2, 1, (1, 0, 1)))
 
 
 def _rand_num(rng):
@@ -385,7 +398,8 @@ def _rand_shaped_den(rng):
     return _shaped(c, rng.randint(0, 6), rng.randint(0, 6))
 
 
-UNSHAPED = ((1, 0, 1), (1, 1, 1), (1, 2))
+# q^2 + q - 1 has a negative constant term: reversing it (bar) flips its sign
+UNSHAPED = ((1, 0, 1), (1, 1, 1), (1, 2), (-1, 1, 1))
 
 
 def _rand_den(rng):
@@ -400,16 +414,29 @@ def _by_gcd(n, d):
     return p_div_exact(n, g), p_div_exact(d, g)
 
 
+def _factored(d):
+    # the stored factors of a denominator with positive leading coefficient
+    c, a, b, r = _split(d)
+    assert c > 0
+    return c, a, b, r
+
+
 def test_cancel_matches_gcd():
+    # _cancel works on factored denominators; the reference divides the
+    # multiplied-out polynomials by their general gcd
     rng = random.Random(20261017)
     for _ in range(600):
         n = _rand_num(rng)
         n = n[p_val(n):]
         d = _rand_den(rng)
-        assert _cancel(n, d) == _by_gcd(n, d), (n, d)
+        if d[-1] < 0:
+            d = p_neg(d)
+        gn, gd = _by_gcd(n, d)
+        assert _cancel(n, _factored(d)) == (gn, _factored(gd)), (n, d)
     for d in UNSHAPED:
         for n in (d, p_mul(d, (3, 0, 1)), (5,), p_mul(d, (0, -1, 1))):
-            assert _cancel(n, d) == _by_gcd(n, d), (n, d)
+            gn, gd = _by_gcd(n, d)
+            assert _cancel(n, _factored(d)) == (gn, _factored(gd)), (n, d)
 
 
 def _reference(n, d):
@@ -422,13 +449,22 @@ def _reference(n, d):
     return n, d
 
 
+def _check_canonical(s, n, d):
+    # s is n/d, in the form the general gcd alone gives, and stores the
+    # factors of that denominator
+    full = _full(s)
+    assert full == _reference(n, d)
+    assert s.dfac == _factored(full[1][p_val(full[1]):])
+
+
 def _rand_shaped_scalar(rng):
-    # a scalar built from its fraction by the general gcd alone; the
-    # denominator may carry a power of q, so val takes both signs
+    # a scalar built through the constructor and checked against the general
+    # gcd; the denominator may carry a power of q, so val takes both signs
     d = p_shift(_rand_den(rng), rng.randint(0, 5))
-    n, d = _reference(_rand_num(rng), d)
-    vn, vd = p_val(n), p_val(d)
-    return QScalar._raw(vn - vd, n[vn:], d[vd:])
+    n = _rand_num(rng)
+    s = QScalar(n, d)
+    _check_canonical(s, n, d)
+    return s
 
 
 def test_products_and_sums_match_general_gcd():
@@ -437,37 +473,48 @@ def test_products_and_sums_match_general_gcd():
         a = _rand_shaped_scalar(rng)
         b = _rand_shaped_scalar(rng)
         (an, ad), (bn, bd) = _full(a), _full(b)
+        # the inverse factors the numerator into the new denominator
+        _check_canonical(a.inv(), ad, an)
         prod = a * b
-        assert _full(prod) == _reference(p_mul(an, bn), p_mul(ad, bd))
+        _check_canonical(prod, p_mul(an, bn), p_mul(ad, bd))
         old = QScalar(p_mul(an, bn), p_mul(ad, bd))
-        assert (prod.val, prod.num, prod.den) == (old.val, old.num, old.den)
+        assert (prod.val, prod.num, prod.dfac) == (old.val, old.num, old.dfac)
         total = a + b
-        want = _reference(p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
-        assert _full(total) == want
+        _check_canonical(total, p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
         b = QScalar(bn, a.den)
         if b.den == a.den:
             same = a + b
             bn, bd = _full(b)
-            want = _reference(p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
-            assert _full(same) == want
+            _check_canonical(same, p_add(p_mul(an, bd), p_mul(bn, ad)), p_mul(ad, bd))
+
+
+def _lcm(a, b):
+    # the lcm of two denominators through their factors; a q-power, which a
+    # scalar keeps in val, is split off first
+    va, vb = p_val(a), p_val(b)
+    d = _den_lcm(_factored(a[va:]), _factored(b[vb:]))
+    return p_shift(_expand(P_ONE, *d), max(va, vb))
 
 
 def test_lcm_of_shapes_matches_gcd_formula():
     rng = random.Random(77)
     for _ in range(200):
-        a = _rand_shaped_den(rng)
-        b = _rand_shaped_den(rng)
+        # shaped pairs, and pairs with cofactors r != 1
+        draw = _rand_shaped_den if rng.random() < 0.5 else _rand_den
+        a = draw(rng)
+        b = draw(rng)
         if a[-1] < 0:
             a = p_neg(a)
         if b[-1] < 0:
             b = p_neg(b)
         want = p_mul(a, p_div_exact(b, p_gcd(a, b)))
-        assert p_lcm(a, b) == want
+        assert _lcm(a, b) == want
 
 
 def test_lcm_and_gcd_of_non_shape_polynomials():
     # in each pair one is not a product of q-powers, (q - 1) and (q + 1), so
-    # p_lcm takes its general branch through p_gcd
+    # its cofactor r is not 1; where both are, the denominator lcm takes the
+    # gcd of the cofactors
     pairs = [
         ((1, 1, 1), (1, 0, 1)),
         ((2, 0, 2), (3, 0, 0, 3)),
@@ -477,17 +524,17 @@ def test_lcm_and_gcd_of_non_shape_polynomials():
         ((-1, 0, 0, 1), (1, 1, 1)),
     ]
     for a, b in pairs:
-        assert _shape(a) is None or _shape(b) is None
+        assert _split(a[p_val(a):])[3] != P_ONE or _split(b[p_val(b):])[3] != P_ONE
         g = p_gcd(a, b)
-        lcm = p_lcm(a, b)
+        lcm = _lcm(a, b)
         assert lcm[-1] > 0 and g[-1] > 0
         assert p_mul(lcm, g) in (p_mul(a, b), p_neg(p_mul(a, b)))
         assert p_div_exact(lcm, a) and p_div_exact(lcm, b)
     assert p_gcd((1, 1, 1), (1, 0, 1)) == (1,)
-    assert p_lcm((1, 1, 1), (1, 0, 1)) == p_mul((1, 1, 1), (1, 0, 1))
+    assert _lcm((1, 1, 1), (1, 0, 1)) == p_mul((1, 1, 1), (1, 0, 1))
     assert p_gcd((2, 0, 2), (3, 0, 0, 3)) == (1,)
     assert p_gcd((2, 0, 2), (0, 0, 4, 0, 4)) == (2, 0, 2)
-    assert p_lcm((2, 0, 2), (0, 0, 4, 0, 4)) == (0, 0, 4, 0, 4)
+    assert _lcm((2, 0, 2), (0, 0, 4, 0, 4)) == (0, 0, 4, 0, 4)
     # an empty (zero) operand: the gcd is the other one, made positive
     assert p_gcd((), (1, 0, -2)) == (-1, 0, 2)
     assert p_gcd((1, -3), ()) == (-1, 3)
@@ -510,10 +557,15 @@ def test_constants_values_and_identities():
         fact = fact * qint(n)
         dfact = dfact * qint(2 * n)
         assert qfact(n) == fact and qdoublefact(n) == dfact
-    # constants are built, not remembered: no module table grows
+    # constants are built, not remembered, and arithmetic keeps no table:
+    # no module table grows, and the one there is holds the three constants
     tables = {k: v for k, v in vars(scalars).items() if isinstance(v, dict) and k[:2] != "__"}
+    assert set(tables) == {"_SMALL_INTS"}
     sizes = {k: len(v) for k, v in tables.items()}
     qpow(4321), from_int(4321), qint(4321)
+    v = qweyl.Variant("jmath", 2)
+    qweyl.parse("x1/(q^2+q+1) + d1/(q^2+1)", "weyl", v)
+    qweyl.parse("3/4 x3^3 d3^5 x3^2 m3^-1 d3 x3 d3^4 / (q^2 + 1)", "weyl", v)
     assert {k: len(v) for k, v in tables.items()} == sizes
 
 
@@ -534,5 +586,5 @@ def test_pow_matches_repeated_multiplication():
         prod = ONE
         for k in range(7):
             got = s ** k
-            assert (got.val, got.num, got.den) == (prod.val, prod.num, prod.den)
+            assert (got.val, got.num, got.dfac) == (prod.val, prod.num, prod.dfac)
             prod = prod * s

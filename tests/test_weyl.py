@@ -283,8 +283,8 @@ def _triples(maxexp=3):
                 yield xd + (c,)
 
 
-def test_index_product_table_matches_letter_replay(monkeypatch):
-    monkeypatch.setattr(weyl, "_products", {})
+def test_index_product_table_matches_letter_replay():
+    weyl._index_product.cache_clear()
     # J1 has kappa 1 at index 1 and kappa 2 at index 2
     v = J1
     triples = list(_triples())
@@ -297,8 +297,7 @@ def test_index_product_table_matches_letter_replay(monkeypatch):
                 m1 = unit[:p] + (t1,) + unit[p + 1 :]
                 m2 = unit[:p] + (t2,) + unit[p + 1 :]
                 replay = reduce_word(v, mono_word(m1) + mono_word(m2))
-                weyl._index_product(v, p, t1, t2)
-                pairs = weyl._products[(k, t1, t2)]
+                pairs = weyl._index_product(k, t1, t2)
                 table = {unit[:p] + (t,) + unit[p + 1 :]: s for t, s in pairs}
                 assert table == replay.terms
 
@@ -331,23 +330,6 @@ def test_products_match_word_reduction_random():
                         expect = expect + reduce_word(v, mono_word(m) + w2, c, strategy)
                     assert left * b == expect
     assert multi > 100
-
-
-def test_product_table_is_bounded(monkeypatch):
-    monkeypatch.setattr(weyl, "_PRODUCT_TABLE_MAX", 8)
-    monkeypatch.setattr(weyl, "_products", {})
-    rng = random.Random(77)
-    sizes = []
-    for v in (J2, I2):
-        letters = generator_letters(v)
-        for _ in range(60):
-            w1 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
-            w2 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
-            assert reduce_word(v, w1) * reduce_word(v, w2) == reduce_word(v, w1 + w2)
-            sizes.append(len(weyl._products))
-    assert max(sizes) <= 8
-    # the table filled up and started over, more than once
-    assert sum(b < a for a, b in zip(sizes, sizes[1:])) > 1
 
 
 def test_word_images_start_from_the_scaled_first_image():
@@ -427,10 +409,10 @@ def test_reduce_word_matches_generator_products_random():
     assert top > 50
 
 
-def test_index_product_matches_the_left_rule(monkeypatch):
+def test_index_product_matches_the_left_rule():
     # _index_product is filled from _append_right; replay t1 t2 with the
     # other one-index rule, from the right end
-    monkeypatch.setattr(weyl, "_products", {})
+    weyl._index_product.cache_clear()
     triples = list(_triples(2))
     for v in (J1, I2):
         for p in range(v.rank + 1):
@@ -447,7 +429,7 @@ def test_index_product_matches_the_left_rule(monkeypatch):
                         (a, b, c): qpow(lo) * QScalar(cs) * QD**n
                         for c, (lo, cs) in terms.items()
                     }
-                    assert dict(weyl._index_product(v, p, t1, t2)) == expect
+                    assert dict(weyl._index_product(k, t1, t2)) == expect
 
 
 def _rebuilt(s):
@@ -488,7 +470,7 @@ def test_reduce_word_long_same_index_subwords():
                 assert got == expect, (v, word, coeff, strategy)
                 for s in got.terms.values():
                     r = _rebuilt(s)
-                    assert (s.val, s.num, s.den) == (r.val, r.num, r.den)
+                    assert (s.val, s.num, s.dfac) == (r.val, r.num, r.dfac)
 
 
 def test_integer_term_accumulation_trims_and_drops():
