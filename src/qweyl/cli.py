@@ -7,6 +7,7 @@ any check failed, and 2 on usage or parse errors.
 """
 
 import argparse
+import functools
 import sys
 
 from . import iqg, operators, polymod, report, weyl
@@ -49,6 +50,8 @@ MODULE_SUITES = ("module-homomorphism", "tcal", "iu-module")
 MAX_GRID_POINTS = 10**6
 
 
+# Built once, on first use: a parser's object graph is cyclic garbage when dropped.
+@functools.cache
 def _build_argparser():
     ap = argparse.ArgumentParser(
         prog="qweyl",

@@ -13,10 +13,10 @@ import functools
 
 from . import operators
 from .expressions import FreeExpr, letter_tag, qcomm
-from .report import aggregate_check, equality_check, skipped_check
-from .satake import BRAID_KINDS, braid_relation_checks, cartan
+from .report import aggregate_check, equality_check, pointwise, skipped_check
+from .satake import BRAID_KINDS, KIND_MARKS, braid_relation_checks, cartan
 from .scalars import qpow
-from .weyl import _QD, EndoSpec, reduce_word
+from .weyl import _QD, EndoSpec, reduce_word, relation_checks
 from . import scalars
 
 
@@ -245,8 +245,7 @@ def tau_subst(v, i, e, kind):
     prime = kind == "prime"
     images = {("B", j): _tau_b_image(v, i, e, prime, j) for j in v.node_indices}
     images.update(_k_images(v, lambda j: _tau_k_lower(v, i, j)))
-    name = "tau'" if prime else "tau''"
-    return ISubst(v, images, label="%s_{%d,%+d}" % (name, i, e))
+    return ISubst(v, images, label="tau%s_{%d,%+d}" % (KIND_MARKS[kind], i, e))
 
 
 def omega_subst(v):
@@ -359,15 +358,9 @@ def iu_relation_instances(v):
 
 def check_phi_relations(v):
     """Every defining relation holds inside the Weyl algebra under phi."""
-    ph = phi_spec(v)
-    checks = []
-    for rid, desc, lhs, rhs in iu_relation_instances(v):
-        checks.append(
-            equality_check(
-                "phi-relations/" + rid, desc, ph.apply_free(lhs), ph.apply_free(rhs)
-            )
-        )
-    return checks
+    return relation_checks(
+        "phi-relations/", iu_relation_instances(v), phi_spec(v).apply_free, str
+    )
 
 
 _TAU_BRAID_TEXT = {
@@ -383,12 +376,8 @@ _TAU_BRAID_TEXT = {
 def check_intertwine(v, e):
     """The braid and anti-automorphism actions agree across phi."""
     checks = []
-    letters = iqg_letters(v)
+    points = [(letter_tag(l), l) for l in iqg_letters(v)]
     ph = phi_spec(v)
-
-    def pairs(lhs, rhs):
-        """Instances comparing two letter maps on every letter."""
-        return ((letter_tag(l), lhs(l), rhs(l)) for l in letters)
 
     def after_phi(x):
         """The letter map l -> x(phi(l)) of an operator x on the Weyl algebra."""
@@ -411,7 +400,7 @@ def check_intertwine(v, e):
                 aggregate_check(
                     "intertwine/T-tau/%s/i=%d" % (kind, i),
                     "%s o phi = phi o %s on letters" % (t.label, s.label),
-                    pairs(after_phi(t), ph_sub((i, e, kind)).image),
+                    pointwise(points, after_phi(t), ph_sub((i, e, kind)).image),
                 )
             )
 
@@ -421,7 +410,7 @@ def check_intertwine(v, e):
         aggregate_check(
             "intertwine/omega-Omega",
             "omega o phi = phi o Omega on letters",
-            pairs(after_phi(operators.omega_op(v)), ph_om.image),
+            pointwise(points, after_phi(operators.omega_op(v)), ph_om.image),
         )
     )
 
@@ -435,8 +424,8 @@ def check_intertwine(v, e):
         checks.append(
             equality_check(
                 "intertwine/pinned-example",
-                "phi(tau'_{%d,%+d}(B%d)) = q^%+d m%d^%+d m%d^%+d x%d d%d"
-                % (r, e, r - 1, e, r, e, r + 1, e, r, r - 1),
+                "phi(%s(B%d)) = q^%+d m%d^%+d m%d^%+d x%d d%d"
+                % (sub((r, e, "prime")).label, r - 1, e, r, e, r + 1, e, r, r - 1),
                 lhs,
                 rhs,
             )
@@ -453,21 +442,21 @@ def check_intertwine(v, e):
         h = ph_sub(word[0]) if word else ph
         for t in word[1:]:
             h = fuse(h, sub(t))
-        return h
+        return h.image
 
     checks.extend(
         braid_relation_checks(
             v,
             e,
             compose,
-            lambda h1, h2: pairs(h1.image, h2.image),
+            points,
             ("intertwine/tau-inverse/", "intertwine/tau-braid/"),
             _TAU_BRAID_TEXT,
         )
     )
 
     for kind in BRAID_KINDS:
-        mark = "'" if kind == "prime" else "''"
+        mark = KIND_MARKS[kind]
         for i in v.braid_indices:
             t = (i, e, kind)
             checks.append(
@@ -475,17 +464,21 @@ def check_intertwine(v, e):
                     "intertwine/tau-Omega/%s/i=%d" % (kind, i),
                     "tau%s_%d o Omega = Omega o tau%s_%d through phi"
                     % (mark, i, mark, i),
-                    pairs(fuse(ph_sub(t), om_i).image, fuse(ph_om, sub(t)).image),
+                    pointwise(
+                        points, fuse(ph_sub(t), om_i).image, fuse(ph_om, sub(t)).image
+                    ),
                 )
             )
 
-    psi = pairs(after_phi(operators.psi_op(v)), fuse(ph, psi_subst(v)).image)
+    psi = pointwise(
+        points, after_phi(operators.psi_op(v)), fuse(ph, psi_subst(v)).image
+    )
     verdict = "holds" if all(a == b for _, a, b in psi) else "does not hold"
     checks.append(
         skipped_check(
             "intertwine/psi-Psi",
             "informational: psi o phi = phi o Psi %s on all %d letters"
-            % (verdict, len(letters)),
+            % (verdict, len(points)),
         )
     )
     return checks

@@ -14,9 +14,9 @@ import functools
 
 from . import scalars
 from .expressions import letter_tag
-from .satake import BRAID_KINDS, braid_relation_checks, cartan
+from .satake import BRAID_KINDS, KIND_MARKS, braid_relation_checks, cartan
 from .scalars import qpow
-from .report import aggregate_check
+from .report import aggregate_check, pointwise
 from .weyl import (
     EndoSpec,
     WeylElement,
@@ -71,8 +71,7 @@ def braid_op(v, i, e, kind):
         images[("d", i)] = _mword(v, -e, -1, [(i, -e)], ("d", i + 1))
         images[("x", i + 1)] = _mword(v, 0, 1, [(i + 1, e)], ("x", i))
         images[("x", i)] = _mword(v, e, -1, [(i, e)], ("x", i + 1))
-    name = "T'" if kind == "prime" else "T''"
-    return EndoSpec(v, images, label="%s_{%d,%+d}" % (name, i, e))
+    return EndoSpec(v, images, label="T%s_{%d,%+d}" % (KIND_MARKS[kind], i, e))
 
 
 def omega_op(v):
@@ -136,7 +135,7 @@ _BRAID_TEXT = {
 
 def check_braid_suite(v, e):
     """Inverse identities and the type-B braid relations on generators."""
-    letters = generator_letters(v)
+    points = [(letter_tag(l), l) for l in generator_letters(v)]
 
     @functools.cache
     def op(t):
@@ -153,11 +152,8 @@ def check_braid_suite(v, e):
 
         return at
 
-    def instances(lhs, rhs):
-        return ((letter_tag(l), lhs(l), rhs(l)) for l in letters)
-
     return braid_relation_checks(
-        v, e, compose, instances, ("braid/inverse/", "braid/"), _BRAID_TEXT
+        v, e, compose, points, ("braid/inverse/", "braid/"), _BRAID_TEXT
     )
 
 
@@ -165,19 +161,18 @@ def check_omega_commutes(v, e):
     """omega o T = T o omega on every generator, both kinds, all braid indices."""
     checks = []
     om = omega_op(v)
-    letters = generator_letters(v)
+    points = [(letter_tag(l), l) for l in generator_letters(v)]
     for kind in BRAID_KINDS:
-        mark = "'" if kind == "prime" else "''"
         for i in v.braid_indices:
             t = braid_op(v, i, e, kind)
             checks.append(
                 aggregate_check(
                     "omega-commute/%s/i=%d" % (kind, i),
-                    "omega o T%s_{%d,%+d} = T%s_{%d,%+d} o omega on generators"
-                    % (mark, i, e, mark, i, e),
-                    (
-                        (letter_tag(l), om.apply(t.image(l)), t.apply(om.image(l)))
-                        for l in letters
+                    "omega o %s = %s o omega on generators" % (t.label, t.label),
+                    pointwise(
+                        points,
+                        lambda l: om.apply(t.image(l)),
+                        lambda l: t.apply(om.image(l)),
                     ),
                 )
             )

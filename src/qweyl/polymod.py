@@ -13,7 +13,7 @@ import random
 
 from . import iqg, operators, scalars
 from .expressions import Terms, acc, letter_tag
-from .report import aggregate_check
+from .report import aggregate_check, pointwise
 from .satake import BRAID_KINDS as TCAL_KINDS
 from .satake import braid_relation_checks
 from .scalars import qint, qpow
@@ -320,14 +320,14 @@ def check_module_homomorphism(v, bound):
     """Letter-by-letter action agrees with acting by the normal form."""
     rng = random.Random("module-homomorphism/%s/%d/%d" % (v.kind, v.rank, bound))
     letters = generator_letters(v)
-    monos = _grid_monos(v, bound)
+    points = [((None, a), m) for a, m in _grid_monos(v, bound)]
     checks = []
     unit = action(v, WeylElement.unit(v))
     checks.append(
         aggregate_check(
             "module-homomorphism/unit",
             "the empty word acts as the identity on the grid",
-            (((None, a), unit(m), m) for a, m in monos),
+            pointwise(points, unit, lambda m: m),
         )
     )
     for w in range(10):
@@ -338,7 +338,7 @@ def check_module_homomorphism(v, bound):
                 "module-homomorphism/word/%02d" % w,
                 "the word %s acts like its normal form on the grid"
                 % " ".join(letter_tag(l) for l in word),
-                (((None, a), act_word(v, word, m), elem(m)) for a, m in monos),
+                pointwise(points, lambda m: act_word(v, word, m), elem),
             )
         )
     for t in range(6):
@@ -356,7 +356,7 @@ def check_module_homomorphism(v, bound):
                     " ".join(letter_tag(l) for l in wu),
                     " ".join(letter_tag(l) for l in ww),
                 ),
-                (((None, a), prod(m), eu(ew(m))) for a, m in monos),
+                pointwise(points, prod, lambda m: eu(ew(m))),
             )
         )
     return checks
@@ -404,12 +404,10 @@ def check_tcal_suite(v, e, bound):
 
         return at
 
-    def instances(lhs, rhs):
-        return (((None, a), lhs(m), rhs(m)) for a, m in monos)
-
+    points = [((None, a), m) for a, m in monos]
     checks.extend(
         braid_relation_checks(
-            v, e, compose, instances, ("tcal/inverse/", "tcal/braid/"), _TCAL_TEXT
+            v, e, compose, points, ("tcal/inverse/", "tcal/braid/"), _TCAL_TEXT
         )
     )
     return checks
@@ -423,14 +421,9 @@ def check_iu_module(v, e, bound):
     monos = _grid_monos(v, bound)
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
-            s = iqg.tau_subst(v, i, e, kind)
+            ph_s = iqg.fuse(ph, iqg.tau_subst(v, i, e, kind))
             sides = [
-                (
-                    letter_tag(u),
-                    action(v, ph.image(u)),
-                    ph.apply_free(s.image(u)),
-                )
-                for u in letters
+                (letter_tag(u), action(v, ph.image(u)), ph_s.image(u)) for u in letters
             ]
             checks.append(
                 aggregate_check(

@@ -63,6 +63,11 @@ def _tag_text(tag):
     return "%s on X^(%s,)" % (letter, a)
 
 
+def pointwise(points, lhs, rhs):
+    """The (tag, lhs(x), rhs(x)) instances over (tag, x) points, each when asked."""
+    return ((tag, lhs(x), rhs(x)) for tag, x in points)
+
+
 def aggregate_check(id, description, instances):
     """One check over many (tag, lhs, rhs) comparisons.
 

@@ -9,10 +9,11 @@ coideal and polynomial braid actions, which inverse, 3-term, 4-term and
 commuting moves exist at a given rank.
 """
 
-from .report import aggregate_check, skipped_check
+from .report import aggregate_check, pointwise, skipped_check
 
 VARIANT_KINDS = ("jmath", "imath")
 BRAID_KINDS = ("prime", "doubleprime")
+KIND_MARKS = {"prime": "'", "doubleprime": "''"}
 
 
 class Variant:
@@ -104,13 +105,13 @@ def cartan(i, j):
     return 0
 
 
-def braid_relation_checks(v, e, compose, instances, prefixes, text):
+def braid_relation_checks(v, e, compose, points, prefixes, text):
     """The braid relations at sign e for one braid action, as check records.
 
     A word is a tuple of (i, e, kind) operator subscripts, outermost first;
-    compose(word) evaluates the composite, with () the identity, and
-    instances(lhs, rhs) lists the (tag, lhs, rhs) comparisons of two
-    composites.  prefixes = (inverse, braid) are the id prefixes of the two
+    compose(word) returns the composite as a map, with () the identity, and
+    a relation compares its two sides' maps, left first, on the (tag, x)
+    points.  prefixes = (inverse, braid) are the id prefixes of the two
     families; text maps each family ("doubleprime-after-prime",
     "prime-after-doubleprime", "3-term", "4-term", "commute") to a
     %-template over i, j, h = i - 1, e, ne = -e and the kind's mark m.
@@ -119,11 +120,8 @@ def braid_relation_checks(v, e, compose, instances, prefixes, text):
     checks = []
 
     def relation(cid, family, fields, lhs, rhs):
-        checks.append(
-            aggregate_check(
-                cid, text[family] % fields, instances(compose(lhs), compose(rhs))
-            )
-        )
+        instances = pointwise(points, compose(lhs), compose(rhs))
+        checks.append(aggregate_check(cid, text[family] % fields, instances))
 
     for i in v.braid_indices:
         fields = {"i": i, "e": e, "ne": -e}
@@ -137,7 +135,7 @@ def braid_relation_checks(v, e, compose, instances, prefixes, text):
     top = v.bmax
     pairs = [(i, j) for i in v.braid_indices for j in range(i + 2, top + 1)]
     for kind in BRAID_KINDS:
-        mark = "'" if kind == "prime" else "''"
+        mark = KIND_MARKS[kind]
 
         def word(*indices):
             return tuple((k, e, kind) for k in indices)

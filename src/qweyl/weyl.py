@@ -497,16 +497,20 @@ def relation_instances(v):
     return rels
 
 
+def relation_checks(prefix, relations, side, describe):
+    """An equality check of side(lhs) and side(rhs), described by
+    describe(description), for each (id, description, lhs, rhs) relation."""
+    return [
+        equality_check(prefix + rid, describe(desc), side(lhs), side(rhs))
+        for rid, desc, lhs, rhs in relations
+    ]
+
+
 def check_weyl_relations(v):
     """Reduce both sides of every defining relation and compare."""
-    checks = []
-    for rid, desc, lhs, rhs in relation_instances(v):
-        checks.append(
-            equality_check(
-                "weyl-relations/" + rid, desc, reduce_expr(v, lhs), reduce_expr(v, rhs)
-            )
-        )
-    return checks
+    return relation_checks(
+        "weyl-relations/", relation_instances(v), lambda x: reduce_expr(v, x), str
+    )
 
 
 def check_well_defined_one(spec, prefix, relations):
@@ -516,14 +520,7 @@ def check_well_defined_one(spec, prefix, relations):
     antimultiplicative image table reverses the sides on its own.
     relations is relation_instances(spec.variant), built once by the caller.
     """
-    checks = []
-    for rid, desc, lhs, rhs in relations:
-        checks.append(
-            equality_check(
-                prefix + rid,
-                "%s preserves %s" % (spec.label, desc),
-                spec.apply_free(lhs),
-                spec.apply_free(rhs),
-            )
-        )
-    return checks
+    label = spec.label
+    return relation_checks(
+        prefix, relations, spec.apply_free, lambda d: "%s preserves %s" % (label, d)
+    )

@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -12,6 +13,23 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(capsys):
+    # one argparse parser per call would leave its cyclic object graph,
+    # about 233 objects, to the cycle collector on every call; the first
+    # call may build the parser, which leaves argparse's help formatters
+    argv = ["normalize", "x1", "--variant", "jmath", "--rank", "1"]
+    main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == "x1\n" * 4
 
 
 def test_normalize_pinned(capsys):

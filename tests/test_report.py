@@ -16,6 +16,7 @@ from qweyl.report import (
     aggregate_check,
     equality_check,
     make_report,
+    pointwise,
     report_json,
 )
 from qweyl.satake import Variant
@@ -63,6 +64,29 @@ def test_only_the_first_failing_tag_is_rendered():
     # string tags, such as letter tags, pass through unchanged
     c = aggregate_check("c", "d", [("K1^-1", 0, 1)])
     assert c.lhs == "[K1^-1] 0"
+
+
+def test_pointwise_maps_no_point_after_the_first_mismatch():
+    calls = []
+
+    def counted(side, f):
+        def apply(x):
+            calls.append((side, x))
+            return f(x)
+
+        return apply
+
+    points = [("p%d" % k, k) for k in range(6)]
+    lhs = counted("lhs", lambda x: x)
+    rhs = counted("rhs", lambda x: -x if x == 2 else x)
+    c = aggregate_check("c", "d", pointwise(points, lhs, rhs))
+    assert (c.status, c.lhs, c.rhs) == (FAIL, "[p2] 2", "[p2] -2")
+    assert calls == [(side, k) for k in range(3) for side in ("lhs", "rhs")]
+    # a passing check maps every point once on each side
+    calls.clear()
+    c = aggregate_check("c", "d", pointwise(points, lhs, lhs))
+    assert (c.status, c.lhs) == (PASS, "agree on 6 instances")
+    assert len(calls) == 2 * len(points)
 
 
 def test_a_passing_check_never_renders_a_tag():

@@ -12,17 +12,19 @@ TEXT = dict.fromkeys(
 
 
 def relation_words(v, e=1):
-    """Run the generator with words as values; return checks and compared pairs."""
-    pairs = []
+    """Run the generator with identity maps; return checks and compared pairs.
 
-    def instances(lhs, rhs):
-        pairs.append((lhs, rhs))
-        return iter(())
+    Each relation composes its left word and then its right word, so the
+    composed words, taken two at a time, are its (lhs word, rhs word) pairs.
+    """
+    words = []
 
-    checks = braid_relation_checks(
-        v, e, lambda word: word, instances, ("inv/", "braid/"), TEXT
-    )
-    return checks, pairs
+    def compose(word):
+        words.append(word)
+        return lambda x: x
+
+    checks = braid_relation_checks(v, e, compose, [("p", 0)], ("inv/", "braid/"), TEXT)
+    return checks, list(zip(words[::2], words[1::2]))
 
 
 @pytest.mark.parametrize("kind", ("jmath", "imath"))
