@@ -16,7 +16,7 @@ from .expressions import Terms, acc, letter_tag
 from .report import aggregate_check, pointwise
 from .satake import BRAID_KINDS as TCAL_KINDS
 from .satake import braid_relation_checks
-from .scalars import qint, qpow
+from .scalars import P_ONE, laurent_times, p_mul, qint, qint_laurent, qpow
 from .weyl import WeylElement, generator_letters, reduce_word, validate_letter
 
 
@@ -133,10 +133,13 @@ def letter_action(v, name, idx):
 
     The letter is validated and its weight read here, once; the map checks
     only each polynomial's variant.  The rule is written apart from action,
-    so acting letter by letter stays an independent reference for it.
+    so acting letter by letter stays an independent reference for it.  A
+    weight q^k shifts the coefficient's exponent; only [kappa t] times a
+    coefficient other than 1 is a product.
     """
     validate_letter(v, name, idx)
     k = v.kappa(idx)
+    mk = -k if name == "mi" else k
     p = idx - 1
     one = scalars.ONE
 
@@ -144,21 +147,19 @@ def letter_action(v, name, idx):
         v.check_variant(poly.variant)
         out = {}
         for a, c in poly.terms.items():
+            t = a[p]
             if name == "d":
-                if a[p] == 0:
+                if t == 0:
                     continue
-                w = qint(k * a[p])
-                a = a[:p] + (a[p] - 1,) + a[p + 1 :]
+                a = a[:p] + (t - 1,) + a[p + 1 :]
+                c = qint(k * t) if c is one else laurent_times(*qint_laurent(k * t), c)
             elif name == "x":
-                w = one
-                a = a[:p] + (a[p] + 1,) + a[p + 1 :]
-            elif name == "m":
-                w = qpow(k * a[p])
-            else:  # "mi"
-                w = qpow(-k * a[p])
+                a = a[:p] + (t + 1,) + a[p + 1 :]
+            else:
+                c = laurent_times(mk * t, P_ONE, c)
             # a letter sends distinct exponent vectors to distinct ones, and
             # [kappa t] and q^k are nonzero: no two terms meet, none cancels
-            out[a] = w if c is one else c * w
+            out[a] = c
         return PolyElement(v, out)
 
     return apply
@@ -188,7 +189,9 @@ def action(v, elem):
     their weights; the map checks only each polynomial's variant.  At an
     index of weight k where a has entry t the monomial sends X^a to
     q^(ga k t) [k t][k (t - 1)]...[k (t - be + 1)] X^a with that entry
-    replaced by t - be + al, and annihilates X^a when t < be.
+    replaced by t - be + al, and annihilates X^a when t < be.  That weight
+    is kept as an integer Laurent polynomial q^lo cs(q) and applied to the
+    coefficient in one step, a shift of its exponent when cs is +-1.
     """
     v.check_variant(elem.variant)
     one = scalars.ONE
@@ -207,25 +210,23 @@ def action(v, elem):
         for mc, support in parts:
             for a, c in poly.terms.items():
                 b = list(a)
-                e = 0
-                ints = []
+                lo = 0
+                cs = P_ONE
                 for p, k, al, be, ga in support:
                     t = a[p]
                     if t < be:
                         break
-                    e += ga * k * t
-                    ints.extend(range(k * (t - be + 1), k * t + 1, k))
+                    lo += ga * k * t
+                    for n in range(k * (t - be + 1), k * t + 1, k):
+                        nlo, ncs = qint_laurent(n)
+                        lo += nlo
+                        cs = p_mul(cs, ncs)
                     b[p] = t - be + al
                 else:
-                    w = qpow(e)
-                    for n in ints:
-                        w = qint(n) if w is one else w * qint(n)
                     # grid monomials and most letter images carry the coefficient 1
-                    if c is not one:
-                        w = c * w
                     if mc is not one:
-                        w = mc * w
-                    acc(out, tuple(b), w)
+                        c = mc if c is one else c * mc
+                    acc(out, tuple(b), laurent_times(lo, cs, c))
         return PolyElement(v, out)
 
     return apply
@@ -259,8 +260,9 @@ def tcal_map(v, i, e, kind):
     """The braid operator on polynomials with subscripts i and e, bound once.
 
     The subscripts are checked here, once; the map checks only each
-    polynomial's variant.  It remembers the image X^b and scalar +-q^k of
-    each exponent vector a it has seen, for as long as the map lives.
+    polynomial's variant.  It remembers the image X^b, k, the sign and the
+    scalar +-q^k of each exponent vector a it has seen, for as long as the
+    map lives: a unit coefficient takes the scalar, any other is shifted.
     """
     v.check_braid_args(i, e, kind)
     one = scalars.ONE
@@ -274,10 +276,10 @@ def tcal_map(v, i, e, kind):
             if img is None:
                 sign, k, b = _tcal_point(v, i, e, kind, a)
                 w = qpow(k)
-                img = seen[a] = (b, -w if sign < 0 else w)
-            b, w = img
+                img = seen[a] = (b, k, (sign,), -w if sign < 0 else w)
+            b, k, cs, w = img
             # tcal permutes exponent vectors: no two terms meet, none cancels
-            out[b] = w if c is one else c * w
+            out[b] = w if c is one else laurent_times(k, cs, c)
         return PolyElement(v, out)
 
     return apply
@@ -419,12 +421,12 @@ def check_iu_module(v, e, bound):
     letters = iqg.iqg_letters(v)
     ph = iqg.phi_spec(v)
     monos = _grid_monos(v, bound)
+    # the left sides do not depend on the check: bind each once
+    lefts = [(u, letter_tag(u), action(v, ph.image(u))) for u in letters]
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
             ph_s = iqg.fuse(ph, iqg.tau_subst(v, i, e, kind))
-            sides = [
-                (letter_tag(u), action(v, ph.image(u)), ph_s.image(u)) for u in letters
-            ]
+            sides = [(tag, left, ph_s.image(u)) for u, tag, left in lefts]
             checks.append(
                 aggregate_check(
                     "iu-module/%s/i=%d" % (kind, i),

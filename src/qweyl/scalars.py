@@ -506,11 +506,16 @@ def qpow(k):
     return QScalar._raw(k, P_ONE, D_ONE) if k else ONE
 
 
+def qint_laurent(n):
+    """[n] for n > 0 as (lo, cs): q^lo * cs(q) = q^(1-n) (1 + q^2 + ... + q^(2n-2))."""
+    return 1 - n, (1, 0) * (n - 1) + (1,)
+
+
 def qint(n):
     """Quantum integer [n] = (q^n - q^-n)/(q - q^-1)."""
     if n <= 0:
         return -qint(-n) if n else ZERO
-    return QScalar._raw(1 - n, (1, 0) * (n - 1) + (1,), D_ONE)
+    return QScalar._raw(*qint_laurent(n), D_ONE)
 
 
 def qfact(n):
@@ -534,9 +539,12 @@ def qdoublefact(a):
 
 
 def laurent_times(lo, cs, c):
-    """q^lo * cs(q) * c, cs(0) != 0: one product, none for cs = +-1."""
+    """q^lo * cs(q) * c, cs(0) != 0: one product, none for cs = +-1.
+
+    For q^0 it returns c itself, so a unit stays scalars.ONE.
+    """
     if cs == P_ONE:
-        return QScalar._raw(c.val + lo, c.num, c.dfac)
+        return QScalar._raw(c.val + lo, c.num, c.dfac) if lo else c
     if cs == (-1,):
         return QScalar._raw(c.val + lo, p_neg(c.num), c.dfac)
     return QScalar._raw(lo, cs, D_ONE) * c

@@ -6,7 +6,7 @@ from qweyl import iqg, polymod, satake, scalars
 from qweyl.polymod import PolyElement, act, act_letter, act_word, grid, tcal
 from qweyl.report import FAIL, PASS, SKIP
 from qweyl.satake import Variant
-from qweyl.scalars import from_int, qint, qpow
+from qweyl.scalars import from_frac, from_int, qint, qpow
 from qweyl.weyl import WeylElement, generator_letters, reduce_word
 
 J1 = Variant("jmath", 1)
@@ -454,6 +454,137 @@ def test_action_matches_letter_by_letter_on_scaled_grids():
     dd = polymod.action(J2, reduce_word(J2, words[0][0]))
     assert dd(mono(J2, (1, 0, 1))).is_zero
     assert dd(mono(J2, (1, 0, 2))) == mono(J2, (1, 0, 0), qint(4) * qint(2))
+
+
+def _ref_action(v, elem, poly):
+    """elem . poly by the monomial rule, in plain QScalar products and sums."""
+    out = {}
+    for m, mc in elem.terms.items():
+        for a, c in poly.terms.items():
+            b = list(a)
+            w = c * mc
+            for p, (al, be, ga) in enumerate(m):
+                k = v.kappa(p + 1)
+                t = a[p]
+                if t < be:
+                    break
+                w = w * qpow(ga * k * t)
+                for j in range(be):
+                    w = w * qint(k * (t - j))
+                b[p] = t - be + al
+            else:
+                b = tuple(b)
+                out[b] = out.get(b, scalars.ZERO) + w
+    return PolyElement(v, {b: w for b, w in out.items() if w})
+
+
+def _ref_tcal(v, i, e, kind, poly):
+    out = {}
+    for a, c in poly.terms.items():
+        sign, k, b = polymod._tcal_point(v, i, e, kind, a)
+        out[b] = from_int(sign) * qpow(k) * c
+    return PolyElement(v, out)
+
+
+_QD = qpow(1) - qpow(-1)
+# 1, +-q^k, rationals and (q - q^-1)-denominators
+_COEFFS = (
+    scalars.ONE,
+    qpow(3),
+    -qpow(-2),
+    scalars.MINUS_ONE,
+    from_frac(2, 3),
+    from_frac(-5, 7) * qpow(1),
+    (qpow(1) + 2) / _QD,
+    qpow(2) / _QD**2,
+)
+
+
+def test_module_maps_match_plain_scalar_arithmetic():
+    for v, bound in ((J2, 6), (I2, 4)):
+        points = list(grid(v, bound))
+        n = len(_COEFFS)
+        polys = [
+            PolyElement(v, {a: scalars.ONE for a in points}),
+            PolyElement(v, {a: _COEFFS[j % n] for j, a in enumerate(points)}),
+        ]
+        for l in generator_letters(v):
+            bound_letter = polymod.letter_action(v, *l)
+            gen = WeylElement.generator(v, *l)
+            for f in polys:
+                assert bound_letter(f) == _ref_action(v, gen, f), l
+        for kind in polymod.TCAL_KINDS:
+            for i in v.braid_indices:
+                for e in (1, -1):
+                    t = polymod.tcal_map(v, i, e, kind)
+                    # the second pass answers from the map's memo
+                    for f in polys + polys:
+                        assert t(f) == _ref_tcal(v, i, e, kind, f), (kind, i, e)
+        r = v.rank + 1
+        k = v.kappa(r)
+        elems = [
+            reduce_word(v, (("d", r), ("d", r))),
+            reduce_word(v, (("x", 1), ("d", r), ("d", r), ("m", r)), from_frac(2, 3)),
+            reduce_word(v, (("d", 2), ("x", 2), ("mi", 1)), -qpow(2))
+            + reduce_word(v, (("d", 1), ("m", r)), _COEFFS[6])
+            + reduce_word(v, (("x", r),), _COEFFS[7]),
+        ]
+        for elem in elems:
+            act_elem = polymod.action(v, elem)
+            for f in polys:
+                assert act_elem(f) == _ref_action(v, elem, f)
+        # d^2 at the last index, of weight 2 for jmath: [2k][k] X^(..., 0)
+        dd = polymod.action(v, elems[0])
+        assert dd(mono(v, (0,) * (r - 1) + (2,))) == mono(
+            v, (0,) * r, qint(2 * k) * qint(k)
+        )
+        # two monomials that meet and cancel: (m_p - m_p^-1)/(q - q^-1)
+        # kills X^0 and multiplies X^a by [kappa(p) a_p]
+        for p in (1, r):
+            elem = reduce_word(v, (("m", p),)) - reduce_word(v, (("mi", p),))
+            elem = elem.scale(_QD.inv())
+            assert len(elem.terms) == 2
+            cancel = polymod.action(v, elem)
+            assert cancel(PolyElement.unit(v)).is_zero
+            kp = v.kappa(p)
+            for f in polys:
+                got = cancel(f)
+                assert got == _ref_action(v, elem, f)
+                want = {a: qint(kp * a[p - 1]) * c for a, c in f.terms.items() if a[p - 1]}
+                assert got == PolyElement(v, want)
+
+
+def test_letter_and_tcal_maps_form_no_product_on_q_power_grids(monkeypatch):
+    # a weight +-q^k is an exponent shift and x moves no coefficient: on
+    # coefficients 1 and +-q^k these maps multiply no two scalars
+    calls = [0]
+    real_mul = scalars.QScalar.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return real_mul(self, other)
+
+    v = J2
+    coeffs = (scalars.ONE, qpow(2), -qpow(-3), scalars.MINUS_ONE)
+    points = list(grid(v, 4))
+    polys = [PolyElement(v, {a: coeffs[j % 4] for j, a in enumerate(points)})]
+    polys += [mono(v, a, c) for a in points[::7] for c in coeffs]
+    monkeypatch.setattr(scalars.QScalar, "__mul__", counted)
+    monkeypatch.setattr(scalars.QScalar, "__rmul__", counted)
+    maps = [polymod.letter_action(v, *l) for l in generator_letters(v) if l[0] != "d"]
+    maps += [
+        polymod.tcal_map(v, i, e, kind)
+        for kind in polymod.TCAL_KINDS
+        for i in v.braid_indices
+        for e in (1, -1)
+    ]
+    for f in polys:
+        for t in maps:
+            t(t(f))
+    assert calls[0] == 0
+    # the counter sees products: [2] times q^2 is one
+    polymod.letter_action(v, "d", 1)(mono(v, (2, 0, 0), qpow(2)))
+    assert calls[0] == 1
 
 
 def test_polynomials_are_unhashable():
