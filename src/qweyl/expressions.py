@@ -33,11 +33,17 @@ class Terms:
     QScalar) its constant term carries, so no element is hashable, and
     comparing or combining elements of two variants raises "variant
     mismatch".  A subclass supplies _new(terms), an element of its own
-    variant, and _const_key(), the key of its constant term; its arithmetic
-    stays in its own class body.
+    variant, _const_key(), the key of its constant term, _label(key) for
+    str, and __mul__, as each type joins two keys its own way.
+
+    perfbench/tracing.py wraps a traced operator only where the subclass
+    binds it, one code object per name, so the subclasses keep one-line
+    methods that call the bodies here until the tracer walks the MRO.
     """
 
     __slots__ = ()
+
+    _sep = "*"  # between a coefficient and a label
 
     __hash__ = None
 
@@ -77,6 +83,58 @@ class Terms:
             return scalars.ZERO
         return terms.get(self._const_key()) if len(terms) == 1 else None
 
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc(out, k, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, QScalar)):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, s):
+        """This element times the int or QScalar s; a unit coefficient takes s."""
+        if isinstance(s, int):
+            s = scalars.from_int(s)
+        if s.is_zero:
+            return self._new({})
+        one = scalars.ONE
+        return self._new({k: s if c is one else c * s for k, c in self.terms.items()})
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("negative power of %s" % type(self).__name__)
+        out = self if k else self.constant(scalars.ONE)
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+    def __str__(self):
+        keys = sorted(self.terms, reverse=True)
+        return scalars.terms_str(
+            [(self._label(k), self.terms[k]) for k in keys], sep=self._sep
+        )
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
 
 class FreeExpr(Terms):
     __slots__ = ("terms",)
@@ -91,6 +149,11 @@ class FreeExpr(Terms):
 
     def _const_key(self):
         return ()
+
+    @staticmethod
+    def _label(word):
+        """Letter tags, inverse letters spelled as powers (K1^-1)."""
+        return " ".join(map(letter_tag, word))
 
     @staticmethod
     def zero():
@@ -117,27 +180,18 @@ class FreeExpr(Terms):
         return FreeExpr({tuple(letters): coeff})
 
     def __neg__(self):
-        return FreeExpr({w: -c for w, c in self.terms.items()})
+        return Terms.__neg__(self)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc(out, w, c)
-        return FreeExpr(out)
+        return Terms.__add__(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return Terms.__sub__(self, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Terms.__rsub__(self, other)
 
     def __mul__(self, other):
         if isinstance(other, (int, QScalar)):
@@ -151,41 +205,13 @@ class FreeExpr(Terms):
         return FreeExpr(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, QScalar)):
-            return self.scale(other)
-        return NotImplemented
+        return Terms.__rmul__(self, other)
 
     def scale(self, s):
-        if isinstance(s, int):
-            s = scalars.from_int(s)
-        if s.is_zero:
-            return FreeExpr({})
-        return FreeExpr({w: c * s for w, c in self.terms.items()})
+        return Terms.scale(self, s)
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a free expression")
-        out = self if k else FreeExpr.one()
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def __str__(self):
-        """Render in letter tags, inverse letters spelled as powers (K1^-1)."""
-        words = sorted(self.terms, reverse=True)
-        return scalars.terms_str(
-            [(" ".join(map(letter_tag, w)), self.terms[w]) for w in words], sep="*"
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "FreeExpr(0)"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            name = " ".join("%s%d" % l for l in w) if w else "1"
-            bits.append("(%s)*%s" % (c, name))
-        return "FreeExpr(%s)" % " + ".join(bits)
+        return Terms.__pow__(self, k)
 
 
 def letter_tag(letter):

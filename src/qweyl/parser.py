@@ -48,6 +48,10 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# not str.isdigit, which takes '²' (int() rejects it) and '٣' (read as 3)
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text):
     tokens = []
     i, n = 0, len(text)
@@ -56,16 +60,16 @@ def _tokenize(text):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j
             continue
         if c.isalpha():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("NAME", text[i:j], i))
             i = j

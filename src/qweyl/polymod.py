@@ -44,6 +44,9 @@ class PolyElement(Terms):
     def _const_key(self):
         return (0,) * (self.variant.rank + 1)
 
+    _sep = " "
+    _label = staticmethod(_exps_str)
+
     @staticmethod
     def unit(variant):
         return PolyElement(variant, {}).constant(scalars.ONE)
@@ -63,39 +66,23 @@ class PolyElement(Terms):
         return PolyElement(variant, {exps: coeff})
 
     def __neg__(self):
-        return PolyElement(self.variant, {a: -c for a, c in self.terms.items()})
+        return Terms.__neg__(self)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            acc(out, a, c)
-        return PolyElement(self.variant, out)
+        return Terms.__add__(self, other)
 
     def __radd__(self, other):
-        return self.__add__(other)
+        return Terms.__add__(self, other)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return Terms.__sub__(self, other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        if not c:
-            return PolyElement(self.variant, {})
-        return PolyElement(self.variant, {a: v * c for a, v in self.terms.items()})
+    def scale(self, s):
+        return Terms.scale(self, s)
 
     def __mul__(self, other):
         if isinstance(other, (int, scalars.QScalar)):
-            return self.scale(
-                scalars.from_int(other) if isinstance(other, int) else other
-            )
+            return self.scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -104,28 +91,6 @@ class PolyElement(Terms):
             for b, d in other.terms.items():
                 acc(out, tuple(x + y for x, y in zip(a, b)), c * d)
         return PolyElement(self.variant, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, scalars.QScalar)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = self if k else PolyElement.unit(self.variant)
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def __str__(self):
-        monos = sorted(self.terms, reverse=True)
-        return scalars.terms_str(
-            [(_exps_str(a), self.terms[a]) for a in monos], sep=" "
-        )
-
-    def __repr__(self):
-        return "PolyElement(%r, %s)" % (self.variant, self)
 
 
 def letter_action(v, name, idx):

@@ -188,6 +188,8 @@ class WeylElement(Terms):
     def _const_key(self):
         return unit_mono(self.variant)
 
+    _label = staticmethod(_mono_str)
+
     @staticmethod
     def unit(v, coeff=scalars.ONE):
         return WeylElement(v).constant(coeff)
@@ -197,37 +199,21 @@ class WeylElement(Terms):
         return WeylElement(v, {letter_mono(v, name, idx): scalars.ONE})
 
     def __neg__(self):
-        return WeylElement(self.variant, {m: -c for m, c in self.terms.items()})
+        return Terms.__neg__(self)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc(out, m, c)
-        return WeylElement(self.variant, out)
+        return Terms.__add__(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return Terms.__sub__(self, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Terms.__rsub__(self, other)
 
     def scale(self, s):
-        if isinstance(s, int):
-            s = scalars.from_int(s)
-        if s.is_zero:
-            return WeylElement(self.variant, {})
-        one = scalars.ONE
-        return WeylElement(
-            self.variant, {m: s if c is one else c * s for m, c in self.terms.items()}
-        )
+        return Terms.scale(self, s)
 
     def __mul__(self, other):
         if isinstance(other, (int, scalars.QScalar)):
@@ -264,24 +250,10 @@ class WeylElement(Terms):
         return WeylElement(v, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, scalars.QScalar)):
-            return self.scale(other)
-        return NotImplemented
+        return Terms.__rmul__(self, other)
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of an algebra element")
-        out = self if k else WeylElement.unit(self.variant)
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def __str__(self):
-        monos = sorted(self.terms, reverse=True)
-        return scalars.terms_str([(_mono_str(m), self.terms[m]) for m in monos])
-
-    def __repr__(self):
-        return "WeylElement(%s)" % self
+        return Terms.__pow__(self, k)
 
 
 def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):

@@ -194,6 +194,10 @@ def test_exit_code_2_paths(capsys):
     assert rc == 2
     rc, out, err = run(capsys, ["normalize", "x1 *", "--variant", "jmath", "--rank", "2"])
     assert rc == 2 and out == "" and "expected an expression" in err
+    for expr, char, pos in (("x1²", "²", 2), ("x1 ٣", "٣", 3), ("x١", "١", 1)):
+        rc, out, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "2"])
+        assert rc == 2 and out == "", expr
+        assert "unexpected character '%s' (at position %d)" % (char, pos) in err, expr
 
 
 def test_a_scalar_glued_to_a_commutator_subscript_exits_2(capsys):

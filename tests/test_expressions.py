@@ -1,5 +1,8 @@
 """The shared accumulate and the term types built on it."""
 
+import importlib.util
+import os
+
 import pytest
 
 from qweyl import scalars
@@ -117,3 +120,58 @@ def test_free_expressions_render_in_letter_tags():
     assert str(FreeExpr.one()) == "1"
     assert str(FreeExpr.letter("mi", 2)) == "m2^-1"
     assert str(FreeExpr.letter("Ki", 3).scale(qpow(1) + qpow(-1))) == "(q + q^-1)*K3^-1"
+
+
+def samples(v):
+    """One element of two terms, one with a q-power coefficient, per term type."""
+    q = qpow(1)
+    return (
+        FreeExpr.letter("B", 1) + FreeExpr.letter("Ki", 2).scale(q),
+        WeylElement.generator(v, "x", 1) + WeylElement.generator(v, "m", 2).scale(q),
+        PolyElement.monomial(v, (1, 0, 0)) + PolyElement.monomial(v, (0, 2, 0), q),
+    )
+
+
+def test_every_term_type_shares_the_arithmetic_contract():
+    for x in samples(J2):
+        y = x * x
+        assert x - y == x + (-y)
+        assert 2 - x == -(x - 2)
+        assert 2 * x == x * 2 == x.scale(2)
+        assert 2 * x != x
+        assert x.scale(0).is_zero
+        assert x ** 0 == 1
+        assert x ** 2 == y
+        for k in (-1, 1.5):
+            with pytest.raises(ValueError, match="negative power"):
+                x ** k
+        assert repr(x) == "%s(%s)" % (type(x).__name__, x)
+
+
+def _tracer_targets():
+    """TARGETS of the benchmark's tracer, read from its source file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_traced_term_operators_are_bound_in_their_own_class():
+    # The tracer wraps vars(cls)[name] and needs one code object per target.
+    # An operator inherited from Terms is not wrapped at all, and a Terms
+    # body aliased into the class (__add__ = Terms.__add__) is wrapped as
+    # Terms.__add__ too, so the Weyl and polynomial calls to that body count
+    # in the expressions layer.
+    classes = {cls.__name__: cls for cls in (FreeExpr, WeylElement, PolyElement)}
+    codes = {}
+    for _, attr, _, _ in _tracer_targets():
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name not in classes:
+            continue
+        assert name in vars(classes[cls_name]), attr
+        fn = vars(classes[cls_name])[name]
+        assert fn.__qualname__ == attr
+        codes[attr] = fn.__code__
+    assert {attr.split(".")[0] for attr in codes} == set(classes)
+    assert len(set(codes.values())) == len(codes)

@@ -293,7 +293,8 @@ def test_a_run_costs_one_element_in_every_context(monkeypatch):
     for cls in (WeylElement, FreeExpr, PolyElement):
         for name in ("__mul__", "__pow__"):
             tag = "%s.%s" % (cls.__name__, name)
-            monkeypatch.setattr(cls, name, counting(tag, vars(cls)[name]))
+            # getattr: PolyElement inherits __pow__ from Terms
+            monkeypatch.setattr(cls, name, counting(tag, getattr(cls, name)))
     monkeypatch.setattr(parser, "reduce_word", counting("reduce_word", parser.reduce_word))
     # a scalar inside a run joins the coefficient and does not split it
     for ctx, text, v, expected in (
@@ -319,6 +320,10 @@ def test_errors_inside_a_run_keep_their_position():
         ("weyl", "x1 * + d1", "expected an expression, found '+'", 5),
         ("weyl", "x1 /", "expected an expression, found 'end of input'", 4),
         ("iqg", "B1 * * B2", "expected an expression, found '*'", 5),
+        # only ASCII digits are digits: int() rejects '²' and reads '٣' as 3
+        ("weyl", "x1²", "unexpected character '²'", 2),
+        ("weyl", "x1 ٣", "unexpected character '٣'", 3),
+        ("weyl", "x١", "unexpected character '١'", 1),
     ):
         with pytest.raises(ParseError) as info:
             parse(text, ctx, J2)
