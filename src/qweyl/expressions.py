@@ -119,7 +119,9 @@ class Terms:
         return self._new({k: s if c is one else c * s for k, c in self.terms.items()})
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int):
+            raise ValueError("non-integer power of %s" % type(self).__name__)
+        if k < 0:
             raise ValueError("negative power of %s" % type(self).__name__)
         out = self if k else self.constant(scalars.ONE)
         for _ in range(k - 1):

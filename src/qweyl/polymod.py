@@ -3,17 +3,18 @@
 The letters act by d_i X^a = [kappa(i) a_i] X^(a - e_i), x_i X^a =
 X^(a + e_i), m_i^{+-1} X^a = q^{+-kappa(i) a_i} X^a, rightmost letter
 first.  tcal_map binds a braid operator on polynomials and letter_action
-a letter, once per check; the check_* suites drive every module-level
-identity over the full grid of monomials with entries bounded by a degree
-parameter.
+a letter, once for any number of polynomials; the check_* suites drive
+every module-level identity over the full grid of monomials with entries
+bounded by a degree parameter.
 """
 
+import functools
 import itertools
 import random
 
 from . import iqg, operators, scalars
 from .expressions import Terms, acc, letter_tag
-from .report import aggregate_check, pointwise
+from .report import aggregate_check, aggregate_record, pointwise
 from .satake import BRAID_KINDS as TCAL_KINDS
 from .satake import braid_relation_checks
 from .scalars import P_ONE, laurent_times, p_mul, qint, qint_laurent, qpow
@@ -221,6 +222,13 @@ def _tcal_point(v, i, e, kind, a):
     return (-1 if aa % 2 else 1), e * aa * (bb + 1), newa
 
 
+@functools.lru_cache(maxsize=1024)
+def _tcal_weight(sign, k):
+    """(sign,) and sign * q^k, one pair shared by every tcal image of that weight."""
+    w = qpow(k)
+    return (sign,), -w if sign < 0 else w
+
+
 def tcal_map(v, i, e, kind):
     """The braid operator on polynomials with subscripts i and e, bound once.
 
@@ -240,8 +248,7 @@ def tcal_map(v, i, e, kind):
             img = seen.get(a)
             if img is None:
                 sign, k, b = _tcal_point(v, i, e, kind, a)
-                w = qpow(k)
-                img = seen[a] = (b, k, (sign,), -w if sign < 0 else w)
+                img = seen[a] = (b, k) + _tcal_weight(sign, k)
             b, k, cs, w = img
             # tcal permutes exponent vectors: no two terms meet, none cancels
             out[b] = w if c is one else laurent_times(k, cs, c)
@@ -266,21 +273,45 @@ def _grid_monos(v, bound):
     return [(a, PolyElement(v, {a: one})) for a in grid(v, bound)]
 
 
-def _intertwine_instances(v, i, e, kind, monos, sides):
-    """tcal(left(X^a)) against act(right, tcal(X^a)), side by side, point by point.
+def _intertwine_checks(v, e, monos, lefts, check):
+    """tcal(left(X^a)) against right(tcal(X^a)), one record per (kind, i).
 
-    sides lists (tag, left, right): left maps a polynomial to a polynomial
-    and right is a Weyl element, bound once per side.  One bound tcal map
-    serves the whole check; the tcal image of each grid monomial is taken
-    once and serves every side.  Each instance
-    is tagged (tag, a), which the report renders only if it fails.
+    lefts lists (tag, left) sides, left a map from polynomials to
+    polynomials; check(kind, i) gives the id, the description and the
+    rights, a Weyl element per side, of the check at (kind, i).  A check's
+    instances run side by side, point by point, each tagged (tag, a).  The
+    checks run in lockstep: left(X^a) is taken once per side and point and
+    compared by every check still alive, and a check leaves at its first
+    mismatch, so it keeps the record it would have on its own.  Each check
+    binds one tcal map and keeps the tcal image of every grid monomial.
     """
-    t = tcal_map(v, i, e, kind)
-    tcal_monos = [t(m) for _, m in monos]
-    for tag, left, right in sides:
-        right = action(v, right)
-        for (a, m), tm in zip(monos, tcal_monos):
-            yield (tag, a), t(left(m)), right(tm)
+    heads, live = [], []
+    for kind in TCAL_KINDS:
+        for i in v.braid_indices:
+            cid, text, rights = check(kind, i)
+            t = tcal_map(v, i, e, kind)
+            rights = [action(v, r) for r in rights]
+            live.append((len(heads), t, [t(m) for _, m in monos], rights))
+            heads.append((cid, text))
+    records = [None] * len(heads)
+    n = 0
+    for s, (tag, left) in enumerate(lefts):
+        for j, (a, m) in enumerate(monos):
+            if not live:
+                break
+            n += 1
+            lm = left(m)
+            failed = False
+            for k, t, tms, rights in live:
+                lhs, rhs = t(lm), rights[s](tms[j])
+                if lhs != rhs:
+                    records[k] = aggregate_record(*heads[k], n, ((tag, a), lhs, rhs))
+                    failed = True
+            if failed:
+                live = [c for c in live if records[c[0]] is None]
+    for k, *_ in live:
+        records[k] = aggregate_record(*heads[k], n)
+    return records
 
 
 def check_module_homomorphism(v, bound):
@@ -342,24 +373,21 @@ _TCAL_TEXT = {
 
 def check_tcal_suite(v, e, bound):
     """Intertwining with the algebra braid action, inverses, braid moves."""
-    checks = []
     monos = _grid_monos(v, bound)
-    for kind in TCAL_KINDS:
-        for i in v.braid_indices:
-            t_op = operators.braid_op(v, i, e, kind)
-            # letter by letter on the tcal side: the independent reference
-            sides = [
-                (letter_tag(l), letter_action(v, *l), t_op.images[l])
-                for l in generator_letters(v)
-            ]
-            checks.append(
-                aggregate_check(
-                    "tcal/intertwine/%s/i=%d" % (kind, i),
-                    "moving a generator across the polynomial braid operator"
-                    " matches %s" % t_op.label,
-                    _intertwine_instances(v, i, e, kind, monos, sides),
-                )
-            )
+    letters = generator_letters(v)
+    # letter by letter on the tcal side: the independent reference
+    lefts = [(letter_tag(l), letter_action(v, *l)) for l in letters]
+
+    def intertwine(kind, i):
+        t_op = operators.braid_op(v, i, e, kind)
+        return (
+            "tcal/intertwine/%s/i=%d" % (kind, i),
+            "moving a generator across the polynomial braid operator"
+            " matches %s" % t_op.label,
+            [t_op.images[l] for l in letters],
+        )
+
+    checks = _intertwine_checks(v, e, monos, lefts, intertwine)
 
     def compose(word):
         maps = [tcal_map(v, *t) for t in reversed(word)]
@@ -382,22 +410,17 @@ def check_tcal_suite(v, e, bound):
 
 def check_iu_module(v, e, bound):
     """The coideal action through phi is braided compatibly with tcal."""
-    checks = []
     letters = iqg.iqg_letters(v)
     ph = iqg.phi_spec(v)
-    monos = _grid_monos(v, bound)
-    # the left sides do not depend on the check: bind each once
-    lefts = [(u, letter_tag(u), action(v, ph.image(u))) for u in letters]
-    for kind in TCAL_KINDS:
-        for i in v.braid_indices:
-            ph_s = iqg.fuse(ph, iqg.tau_subst(v, i, e, kind))
-            sides = [(tag, left, ph_s.image(u)) for u, tag, left in lefts]
-            checks.append(
-                aggregate_check(
-                    "iu-module/%s/i=%d" % (kind, i),
-                    "the coideal letters move across tcal through their tau"
-                    " images (kind %s, i=%d)" % (kind, i),
-                    _intertwine_instances(v, i, e, kind, monos, sides),
-                )
-            )
-    return checks
+    lefts = [(letter_tag(u), action(v, ph.image(u))) for u in letters]
+
+    def moved(kind, i):
+        ph_s = iqg.fuse(ph, iqg.tau_subst(v, i, e, kind))
+        return (
+            "iu-module/%s/i=%d" % (kind, i),
+            "the coideal letters move across tcal through their tau images"
+            " (kind %s, i=%d)" % (kind, i),
+            [ph_s.image(u) for u in letters],
+        )
+
+    return _intertwine_checks(v, e, _grid_monos(v, bound), lefts, moved)

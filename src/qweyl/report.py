@@ -68,27 +68,35 @@ def pointwise(points, lhs, rhs):
     return ((tag, lhs(x), rhs(x)) for tag, x in points)
 
 
+def aggregate_record(id, description, n, failure=None):
+    """The record of an aggregate check: n instances agreed, or one failed.
+
+    failure is the first mismatching (tag, lhs, rhs) instance, or None when
+    all n instances agree.  Only that instance's tag is ever rendered (see
+    _tag_text).
+    """
+    if failure is None:
+        msg = "agree on %d instances" % n
+        return Check(id, description, msg, msg, PASS)
+    tag, lhs, rhs = failure
+    tag = _tag_text(tag)
+    return Check(
+        id, description, "[%s] %s" % (tag, lhs), "[%s] %s" % (tag, rhs), FAIL
+    )
+
+
 def aggregate_check(id, description, instances):
     """One check over many (tag, lhs, rhs) comparisons.
 
     Passes when every pair agrees; on the first mismatch the offending
     instance is rendered into the record and the rest are not evaluated.
-    Only that instance's tag is ever rendered (see _tag_text).
     """
     n = 0
     for tag, lhs, rhs in instances:
         n += 1
         if lhs != rhs:
-            tag = _tag_text(tag)
-            return Check(
-                id,
-                description,
-                "[%s] %s" % (tag, lhs),
-                "[%s] %s" % (tag, rhs),
-                FAIL,
-            )
-    msg = "agree on %d instances" % n
-    return Check(id, description, msg, msg, PASS)
+            return aggregate_record(id, description, n, (tag, lhs, rhs))
+    return aggregate_record(id, description, n)
 
 
 def skipped_check(id, description):
@@ -130,23 +138,49 @@ _CHECK_JSON = (
 _CHECK_FIELDS = operator.itemgetter("description", "id", "lhs", "rhs", "status")
 
 
+# The report head, every key but "checks", as json.dumps lays it out after
+# the "checks" list; make_report builds exactly these keys.
+_HEAD_JSON = (
+    '  "e": %s,\n'
+    '  "rank": %s,\n'
+    '  "suite": %s,\n'
+    '  "summary": {\n'
+    '    "failed": %s,\n'
+    '    "passed": %s,\n'
+    '    "skipped": %s\n'
+    "  },\n"
+    '  "toolVersion": %s,\n'
+    '  "variant": %s\n'
+    "}\n"
+)
+
+
 def report_json(report):
     """The bytes of json.dumps(report, sort_keys=True, indent=2) + "\\n".
 
     With indent set, json.dumps runs its pure-Python encoder, which resumes
-    a chain of generators for every value.  Here each check record fills one
-    fixed template, its strings encoded by encode_basestring_ascii, the C
-    function json.dumps itself uses for them; the head, every key but
-    "checks" (which sorts first), goes through json.dumps.
+    a chain of generators for every value and leaves a cycle of closures
+    to the garbage collector.  Here each check record fills one fixed
+    template, its strings encoded by encode_basestring_ascii, the C
+    function json.dumps itself uses for them, and the head fills another,
+    each value encoded alone by json.dumps without indent, which takes the
+    C encoder.
     """
-    head = dict(report)
     checks = ",\n".join(
         _CHECK_JSON % tuple(map(encode_basestring_ascii, _CHECK_FIELDS(c)))
-        for c in head.pop("checks")
+        for c in report["checks"]
     )
     checks = "[\n%s\n  ]" % checks if checks else "[]"
-    rest = json.dumps(head, sort_keys=True, indent=2)  # "{\n  ...\n}"
-    return '{\n  "checks": %s,\n%s\n' % (checks, rest[2:])
+    s = report["summary"]
+    head = _HEAD_JSON % tuple(
+        map(
+            json.dumps,
+            (report["e"], report["rank"], report["suite"])
+            + (s["failed"], s["passed"], s["skipped"])
+            + (report["toolVersion"], report["variant"]),
+        )
+    )
+    return '{\n  "checks": %s,\n%s' % (checks, head)
 
 
 def report_text(report):

@@ -18,7 +18,7 @@ import functools
 from . import scalars
 from .expressions import FreeExpr, Terms, acc, letter_tag
 from .report import equality_check
-from .scalars import P_ONE, laurent_times, p_add, p_mul, p_neg, p_shift, p_val, qpow
+from .scalars import P_ONE, laurent_times, p_mul, p_neg, p_trim, p_val, qpow
 
 WEYL_LETTER_NAMES = ("d", "x", "m", "mi")
 
@@ -60,15 +60,24 @@ def validate_letter(v, name, idx):
 # terms and the rules below add and shift integer polynomials only.
 
 
-def _lacc(out, c, lo, cs):
-    """out[c] += q^lo * cs; a sum that cancels drops c."""
+def _lacc(out, c, lo, cs, sign=1):
+    """out[c] += sign * q^lo * cs, sign 1 or -1; a sum that cancels drops c."""
     old = out.get(c)
     if old is None:
-        out[c] = (lo, cs)
+        out[c] = (lo, cs if sign > 0 else p_neg(cs))
         return
     lo2, cs2 = old
     start = min(lo, lo2)
-    cs = p_add(p_shift(cs, lo - start), p_shift(cs2, lo2 - start))
+    i2, i1 = lo2 - start, lo - start
+    total = [0] * max(i2 + len(cs2), i1 + len(cs))
+    total[i2 : i2 + len(cs2)] = cs2
+    if sign > 0:
+        for i, x in enumerate(cs, i1):
+            total[i] += x
+    else:
+        for i, x in enumerate(cs, i1):
+            total[i] -= x
+    cs = p_trim(total)
     if not cs:
         del out[c]
         return
@@ -88,7 +97,7 @@ def _append_right(k, state, name):
             return a + 1, 0, n, {c: (lo + k * c, cs) for c, (lo, cs) in terms.items()}
         for c, (lo, cs) in terms.items():
             _lacc(out, c + 1, lo + k * (c + 1), cs)
-            _lacc(out, c - 1, lo + k * (c - 1), p_neg(cs))
+            _lacc(out, c - 1, lo + k * (c - 1), cs, -1)
         return a, b - 1, n + 1, out
     # name == "d"
     if a == 0:
@@ -96,7 +105,7 @@ def _append_right(k, state, name):
     for c, (lo, cs) in terms.items():
         lo -= k * c
         _lacc(out, c + 1, lo, cs)
-        _lacc(out, c - 1, lo, p_neg(cs))
+        _lacc(out, c - 1, lo, cs, -1)
     return a - 1, 0, n + 1, out
 
 
@@ -118,7 +127,7 @@ def _append_left(k, state, name):
     out = {}
     for c, (lo, cs) in terms.items():
         _lacc(out, c + 1, lo + e, cs)
-        _lacc(out, c - 1, lo - e, p_neg(cs))
+        _lacc(out, c - 1, lo - e, cs, -1)
     return a, b, n + 1, out
 
 

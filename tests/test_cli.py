@@ -32,6 +32,28 @@ def test_repeated_calls_leave_no_cyclic_garbage(capsys):
     assert capsys.readouterr().out == "x1\n" * 4
 
 
+def test_a_json_report_leaves_no_cyclic_garbage(capsys):
+    # json.dumps with indent runs the pure-Python encoder, whose closures
+    # form a cycle of about 33 objects per call
+    argv = ["verify", "weyl-relations", "--variant", "jmath", "--rank", "1"]
+    argv += ["--format", "json"]
+    main(argv)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    out = capsys.readouterr().out
+    assert out[: len(out) // 2] == out[len(out) // 2 :]
+    assert json.loads(out[: len(out) // 2])["summary"]["failed"] == 0
+
+
 def test_normalize_pinned(capsys):
     rc, out, _ = run(capsys, ["normalize", "d1 x1", "--variant", "imath", "--rank", "2"])
     assert rc == 0

@@ -142,9 +142,10 @@ def test_every_term_type_shares_the_arithmetic_contract():
         assert x.scale(0).is_zero
         assert x ** 0 == 1
         assert x ** 2 == y
-        for k in (-1, 1.5):
-            with pytest.raises(ValueError, match="negative power"):
-                x ** k
+        with pytest.raises(ValueError, match="negative power of %s" % type(x).__name__):
+            x ** -1
+        with pytest.raises(ValueError, match="non-integer power of %s" % type(x).__name__):
+            x ** 1.5
         assert repr(x) == "%s(%s)" % (type(x).__name__, x)
 
 

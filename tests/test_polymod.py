@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qweyl import iqg, polymod, satake, scalars
+from qweyl.expressions import letter_tag
 from qweyl.polymod import PolyElement, act, act_letter, act_word, grid, tcal
 from qweyl.report import FAIL, PASS, SKIP
 from qweyl.satake import Variant
@@ -368,59 +369,141 @@ def test_variant_checks_survive_identity_short_circuit():
             call()
 
 
-def _tcal_calls_per_check(monkeypatch):
-    """Count applications of bound tcal maps, and attribute them to check ids."""
-    calls = [0]
-    real_tcal_map = polymod.tcal_map
+def _counting(monkeypatch, mod, factory, calls, key=lambda *args: None):
+    """Replace mod.factory by one whose bound maps count their applications.
+
+    calls[key(*args)] counts the applications of the maps bound with args.
+    """
+    real = getattr(mod, factory)
 
     def counted(*args):
-        bound = real_tcal_map(*args)
+        bound = real(*args)
+        k = key(*args)
+        calls.setdefault(k, 0)
 
         def apply(poly):
-            calls[0] += 1
+            calls[k] += 1
             return bound(poly)
 
         return apply
 
-    per_check = {}
-
-    def attributing(real):
-        def check(cid, description, instances):
-            start = calls[0]
-            out = real(cid, description, instances)
-            per_check[cid] = calls[0] - start
-            return out
-
-        return check
-
-    monkeypatch.setattr(polymod, "tcal_map", counted)
-    for mod in (polymod, satake):
-        monkeypatch.setattr(mod, "aggregate_check", attributing(mod.aggregate_check))
-    return per_check
+    monkeypatch.setattr(mod, factory, counted)
 
 
 def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
-    per_check = _tcal_calls_per_check(monkeypatch)
+    calls = {}
+    _counting(monkeypatch, polymod, "tcal_map", calls)
+    per_relation = {}
+
+    def attributing(cid, description, instances):
+        start = calls[None]
+        out = real_aggregate(cid, description, instances)
+        per_relation[cid] = calls[None] - start
+        return out
+
+    real_aggregate = satake.aggregate_check
+    monkeypatch.setattr(satake, "aggregate_check", attributing)
     v, bound = J2, 1
     points = (bound + 1) ** (v.rank + 1)
     checks = polymod.check_tcal_suite(v, 1, bound)
     assert all(c.status in (PASS, SKIP) for c in checks)
     # per intertwine check: tcal after each (letter, point), and one tcal
-    # image per point that every letter reuses
+    # image per point that every letter reuses; the rest of the suite call
+    # is the relation checks, each binding every operator of a word
     n_letters = len(generator_letters(v))
-    intertwine = {c: n for c, n in per_check.items() if c.startswith("tcal/intertwine/")}
-    assert len(intertwine) == 4
-    assert set(intertwine.values()) == {(n_letters + 1) * points}
-    # the relation checks bind each operator of a word through the same name
-    assert per_check["tcal/inverse/doubleprime-after-prime/i=1"] == 2 * points
-    assert per_check["tcal/braid/4-term/prime/i=2"] == 8 * points
+    n_intertwine = sum(c.id.startswith("tcal/intertwine/") for c in checks)
+    assert n_intertwine == 4
+    intertwine_calls = calls[None] - sum(per_relation.values())
+    assert intertwine_calls == n_intertwine * (n_letters + 1) * points
+    assert per_relation["tcal/inverse/doubleprime-after-prime/i=1"] == 2 * points
+    assert per_relation["tcal/braid/4-term/prime/i=2"] == 8 * points
 
-    per_check.clear()
+    calls.clear()
     checks = polymod.check_iu_module(v, -1, bound)
-    assert all(c.status == PASS for c in checks)
+    assert len(checks) == 4 and all(c.status == PASS for c in checks)
     n_letters = len(iqg.iqg_letters(v))
-    assert len(per_check) == 4
-    assert set(per_check.values()) == {(n_letters + 1) * points}
+    assert calls == {None: len(checks) * (n_letters + 1) * points}
+
+
+def test_module_suites_take_each_left_image_once_per_call(monkeypatch):
+    # the checks of a suite call run in lockstep: each letter's left side is
+    # applied once per grid point, not once per (kind, i) check
+    v, bound = J2, 1
+    points = (bound + 1) ** (v.rank + 1)
+    calls = {}
+    _counting(monkeypatch, polymod, "letter_action", calls, key=lambda v, *l: l)
+    checks = polymod.check_tcal_suite(v, 1, bound)
+    assert sum(c.id.startswith("tcal/intertwine/") for c in checks) == 4
+    assert calls == {l: points for l in generator_letters(v)}
+
+    # iu-module binds each left side phi(u) and each right side
+    # phi(tau(u)) through action; count the maps bound from phi's images
+    specs = []
+    real_phi_spec = iqg.phi_spec
+
+    def phi_spec(v):
+        specs.append(real_phi_spec(v))
+        return specs[-1]
+
+    monkeypatch.setattr(iqg, "phi_spec", phi_spec)
+    calls = {}
+    _counting(monkeypatch, polymod, "action", calls, key=lambda v, elem: id(elem))
+    checks = polymod.check_iu_module(v, 1, bound)
+    assert len(checks) == 4 and all(c.status == PASS for c in checks)
+    (ph,) = specs
+    lefts = {id(ph.image(u)): u for u in iqg.iqg_letters(v)}
+    assert {lefts[k]: n for k, n in calls.items() if k in lefts} == {
+        u: points for u in iqg.iqg_letters(v)
+    }
+
+
+def test_lockstep_checks_keep_their_check_major_records(monkeypatch):
+    # two intertwine checks of one tcal suite call fail at different
+    # (letter, point) pairs; each record must be the one the check gives
+    # when its instances run alone, letter by letter, point by point
+    from qweyl import operators, report
+
+    v, e, bound = J2, 1, 2
+    real_braid_op = operators.braid_op
+    broken = {("prime", 1): ("m", 2), ("doubleprime", 2): ("d", 3)}
+
+    def braid_op(v, i, e, kind):
+        op = real_braid_op(v, i, e, kind)
+        letter = broken.get((kind, i))
+        if letter is not None:
+            op.images[letter] = op.images[letter].scale(2)
+        return op
+
+    monkeypatch.setattr(operators, "braid_op", braid_op)
+    records = {
+        c.id: c
+        for c in polymod.check_tcal_suite(v, e, bound)
+        if c.id.startswith("tcal/intertwine/")
+    }
+    assert len(records) == 4
+    monos = [(a, mono(v, a)) for a in grid(v, bound)]
+    letters = generator_letters(v)
+    failing = set()
+    for kind in satake.BRAID_KINDS:
+        for i in v.braid_indices:
+            cid = "tcal/intertwine/%s/i=%d" % (kind, i)
+            t = polymod.tcal_map(v, i, e, kind)
+            images = operators.braid_op(v, i, e, kind).images
+            instances = (
+                inst
+                for l in letters
+                for inst in report.pointwise(
+                    [((letter_tag(l), a), m) for a, m in monos],
+                    lambda m, left=polymod.letter_action(v, *l): t(left(m)),
+                    lambda m, right=polymod.action(v, images[l]): right(t(m)),
+                )
+            )
+            ref = report.aggregate_check(cid, records[cid].description, instances)
+            assert records[cid].as_dict() == ref.as_dict(), cid
+            if ref.status == FAIL:
+                failing.add(ref.lhs.split("]")[0])
+    # m2 fails on the first grid point; d3 only where X3 has a positive power
+    assert failing == {"[m2 on X^((0, 0, 0),)", "[d3 on X^((0, 0, 1),)"}
 
 
 def test_action_matches_letter_by_letter_on_scaled_grids():
