@@ -358,9 +358,7 @@ def iu_relation_instances(v):
 
 def check_phi_relations(v):
     """Every defining relation holds inside the Weyl algebra under phi."""
-    return relation_checks(
-        "phi-relations/", iu_relation_instances(v), phi_spec(v).apply_free, str
-    )
+    return relation_checks("phi-relations/", iu_relation_instances(v), phi_spec(v).apply_free)
 
 
 _TAU_BRAID_TEXT = {

@@ -107,7 +107,9 @@ def psi_op(v):
 def check_well_defined(v, e):
     """Every braid table at sign e, plus omega and psi, preserves relations.
 
-    The relations are built once and mapped through every table.
+    The relations are built once and mapped through every table, and the
+    tables share one record memo: a relation whose letters two tables map
+    to equal images is evaluated once (see check_well_defined_one).
     """
     rels = relation_instances(v)
     specs = [
@@ -116,9 +118,10 @@ def check_well_defined(v, e):
         for i in v.braid_indices
     ]
     specs += [(omega_op(v), "omega/"), (psi_op(v), "psi/")]
+    seen = {}
     checks = []
     for spec, tag in specs:
-        checks.extend(check_well_defined_one(spec, "endo-well-defined/" + tag, rels))
+        checks.extend(check_well_defined_one(spec, "endo-well-defined/" + tag, rels, seen))
     return checks
 
 

@@ -17,7 +17,7 @@ import functools
 
 from . import scalars
 from .expressions import FreeExpr, Terms, acc, letter_tag
-from .report import equality_check
+from .report import Check, equality_check
 from .scalars import P_ONE, laurent_times, p_mul, p_neg, p_trim, p_val, qpow
 
 WEYL_LETTER_NAMES = ("d", "x", "m", "mi")
@@ -478,30 +478,57 @@ def relation_instances(v):
     return rels
 
 
-def relation_checks(prefix, relations, side, describe):
-    """An equality check of side(lhs) and side(rhs), described by
-    describe(description), for each (id, description, lhs, rhs) relation."""
+def relation_checks(prefix, relations, side):
+    """An equality check of side(lhs) and side(rhs) for each
+    (id, description, lhs, rhs) relation."""
     return [
-        equality_check(prefix + rid, describe(desc), side(lhs), side(rhs))
+        equality_check(prefix + rid, desc, side(lhs), side(rhs))
         for rid, desc, lhs, rhs in relations
     ]
 
 
 def check_weyl_relations(v):
     """Reduce both sides of every defining relation and compare."""
-    return relation_checks(
-        "weyl-relations/", relation_instances(v), lambda x: reduce_expr(v, x), str
-    )
+    return relation_checks("weyl-relations/", relation_instances(v), lambda x: reduce_expr(v, x))
 
 
-def check_well_defined_one(spec, prefix, relations):
+def check_well_defined_one(spec, prefix, relations, seen):
     """Map relation sides through a substitution's letter images and compare.
 
     Works on free words, so it is exactly the well-definedness test; an
     antimultiplicative image table reverses the sides on its own.
     relations is relation_instances(spec.variant), built once by the caller.
+
+    A record depends on the table only through the images of its relation's
+    letters, the two flags and the label, which reaches only the
+    description.  seen, one dict shared by the calls over one relation
+    list, interns each letter image (with its variant) to an int and keeps
+    the rendered sides and status per (relation id, flags, letter ints), so
+    a relation whose letters two tables map alike is evaluated once.
     """
+    v = spec.variant
+    ids = {}
+
+    def letter_id(letter):
+        n = ids.get(letter)
+        if n is None:
+            img = spec.image(letter)
+            n = ids[letter] = seen.setdefault((v, tuple(sorted(img.terms.items()))), len(seen))
+        return n
+
+    flags = (spec.antimultiplicative, spec.bar_twist)
     label = spec.label
-    return relation_checks(
-        prefix, relations, spec.apply_free, lambda d: "%s preserves %s" % (label, d)
-    )
+    checks = []
+    for rid, desc, lhs, rhs in relations:
+        key = (rid, flags) + tuple(
+            letter_id(l) for side in (lhs, rhs) for word in side.terms for l in word
+        )
+        desc = "%s preserves %s" % (label, desc)
+        texts = seen.get(key)
+        if texts is None:
+            c = equality_check(prefix + rid, desc, spec.apply_free(lhs), spec.apply_free(rhs))
+            seen[key] = (c.lhs, c.rhs, c.status)
+        else:
+            c = Check(prefix + rid, desc, *texts)
+        checks.append(c)
+    return checks

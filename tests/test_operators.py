@@ -25,6 +25,8 @@ J2 = Variant("jmath", 2)
 J1 = Variant("jmath", 1)
 I1 = Variant("imath", 1)
 I2 = Variant("imath", 2)
+J4 = Variant("jmath", 4)
+I4 = Variant("imath", 4)
 
 
 def gen(v, name, i):
@@ -137,6 +139,26 @@ def test_well_defined_suite_passes():
             assert bad == [], bad[:3]
 
 
+def _well_defined_specs(v, e):
+    """check_well_defined's tables, in its order, with their id tags."""
+    specs = [
+        (operators.braid_op(v, i, e, kind), "%s/i=%d/" % (kind, i))
+        for kind in operators.BRAID_KINDS
+        for i in v.braid_indices
+    ]
+    return specs + [(omega_op(v), "omega/"), (psi_op(v), "psi/")]
+
+
+def _fresh_well_defined(v, e):
+    """Each table checked on its own: fresh relations and a fresh memo each."""
+    fresh = []
+    for spec, tag in _well_defined_specs(v, e):
+        fresh += check_well_defined_one(
+            spec, "endo-well-defined/" + tag, weyl.relation_instances(v), {}
+        )
+    return [c.as_dict() for c in fresh]
+
+
 def test_well_defined_suite_builds_the_relations_once(monkeypatch):
     built = []
     real = weyl.relation_instances
@@ -147,37 +169,109 @@ def test_well_defined_suite_builds_the_relations_once(monkeypatch):
 
     monkeypatch.setattr(operators, "relation_instances", counting)
     monkeypatch.setattr(weyl, "relation_instances", counting)
-    for v in (J1, I1, J2, I2):
+    # rank 4: many tables fix many relations' letters, so the memo shares most
+    for v in (J1, I1, J2, I2, J4, I4):
         for e in (1, -1):
             built.clear()
             got = [c.as_dict() for c in check_well_defined(v, e)]
             assert built == [v]
-            # the same records as building the relations afresh for each table
-            specs = [
-                (braid_op(v, i, e, kind), "%s/i=%d/" % (kind, i))
-                for kind in operators.BRAID_KINDS
-                for i in v.braid_indices
-            ]
-            specs += [(omega_op(v), "omega/"), (psi_op(v), "psi/")]
+            # the same records as each table checked afresh
             built.clear()
-            fresh = []
-            for spec, tag in specs:
-                fresh += check_well_defined_one(
-                    spec, "endo-well-defined/" + tag, weyl.relation_instances(v)
-                )
-            assert len(built) == len(specs)
-            assert got == [c.as_dict() for c in fresh]
+            assert got == _fresh_well_defined(v, e)
+            assert len(built) == len(_well_defined_specs(v, e))
+
+
+@pytest.mark.parametrize("v, sides", [(J4, 2528), (I4, 2876)])
+def test_well_defined_suite_evaluates_each_distinct_image_once(monkeypatch, v, sides):
+    # each (relation, flags, images of its letters) is mapped through once:
+    # without the memo every table maps both sides of every relation
+    calls = []
+    real = weyl.EndoSpec.apply_free
+
+    def counting(self, expr):
+        calls.append(expr)
+        return real(self, expr)
+
+    monkeypatch.setattr(weyl.EndoSpec, "apply_free", counting)
+    checks = check_well_defined(v, 1)
+    assert len(calls) == sides
+    assert sides < 2 * len(checks)
+
+
+@pytest.mark.parametrize(
+    "v, kind, i, letter",
+    [
+        (J4, "prime", 2, ("d", 3)),  # a letter the table moves
+        (J4, "doubleprime", 1, ("d", 3)),  # a letter it fixes, as most tables do
+        (I4, "prime", 2, ("x", 3)),
+    ],
+)
+def test_well_defined_memo_keeps_a_mutated_table_apart(monkeypatch, v, kind, i, letter):
+    before = {c.id: c.as_dict() for c in check_well_defined(v, 1)}
+    real = operators.braid_op
+
+    def mutated(v_, i_, e_, kind_):
+        spec = real(v_, i_, e_, kind_)
+        if (i_, e_, kind_) == (i, 1, kind):
+            spec.images[letter] = -spec.images[letter]
+        return spec
+
+    monkeypatch.setattr(operators, "braid_op", mutated)
+    got = [c.as_dict() for c in check_well_defined(v, 1)]
+    assert got == _fresh_well_defined(v, 1)
+    prefix = "endo-well-defined/%s/i=%d/" % (kind, i)
+    tag = "%s%d" % letter
+    changed = [c for c in got if c != before[c["id"]]]
+    assert changed
+    for c in changed:
+        assert c["id"].startswith(prefix) and tag in c["description"].split()
+    # a sign flip fails exactly the relations not homogeneous in the letter
+    failed = {c["id"] for c in got if c["status"] == "fail"}
+    assert failed == {prefix + "dx/i=%d" % letter[1], prefix + "xd/i=%d" % letter[1]}
+
+
+def test_well_defined_missing_image_raises_through_the_memo():
+    rels = weyl.relation_instances(J2)
+    seen = {}
+    check_well_defined_one(identity_endo(J2), "wd/", rels, seen)
+    spec = identity_endo(J2)
+    del spec.images[("d", 2)]
+    for memo in (seen, {}):
+        with pytest.raises(ValueError, match=r"^no image for letter d2$"):
+            check_well_defined_one(spec, "wd/", rels, memo)
+
+
+def test_well_defined_memo_keys_on_the_flags_and_the_variant():
+    # equal letter images serve one record only under equal flags, and
+    # only in one variant: kappa differs between jmath and imath
+    def specs(v):
+        images = identity_endo(v).images
+        return [
+            weyl.EndoSpec(v, images, anti, bar, label="t")
+            for anti in (False, True)
+            for bar in (False, True)
+        ]
+
+    seen = {}
+    for v in (J2, I2):
+        rels = weyl.relation_instances(v)
+        for spec in specs(v):
+            got = check_well_defined_one(spec, "wd/", rels, seen)
+            fresh = check_well_defined_one(spec, "wd/", rels, {})
+            assert [c.as_dict() for c in got] == [c.as_dict() for c in fresh]
+            if spec.antimultiplicative or spec.bar_twist:
+                assert any(c.status == "fail" for c in got)
 
 
 def test_identity_spec_well_defined():
-    checks = check_well_defined_one(identity_endo(J2), "wd/", weyl.relation_instances(J2))
+    checks = check_well_defined_one(identity_endo(J2), "wd/", weyl.relation_instances(J2), {})
     assert all(c.status == "pass" for c in checks)
 
 
 def test_broken_spec_fails_dx_relation():
     spec = identity_endo(J2)
     spec.images[("d", 1)] = gen(J2, "x", 1)
-    checks = check_well_defined_one(spec, "wd/", weyl.relation_instances(J2))
+    checks = check_well_defined_one(spec, "wd/", weyl.relation_instances(J2), {})
     by_id = {c.id: c for c in checks}
     assert by_id["wd/dx/i=1"].status == "fail"
     assert by_id["wd/dx/i=2"].status == "pass"
