@@ -268,10 +268,11 @@ class WeylElement(Terms):
 def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
     """Canonical form of coeff * word, rewriting from one chosen end.
 
-    Letters at distinct indices commute, so each index's subword is reduced
-    on its own integer state and the indices are multiplied out at the end
-    as integer polynomials over one shared (q - q^-1)^-N; each output term
-    then becomes one scalar.
+    Letters at distinct indices commute, so the letters are grouped by
+    index and every index's subword is reduced on its own integer state by
+    _index_state.  Each state is multiplied into the terms so far as
+    integer polynomials over one shared (q - q^-1)^-N, N the sum of the
+    states' x-d rewrites; each output term then becomes one scalar.
     """
     if strategy == "left":
         rule, letters = _append_right, word
@@ -287,46 +288,25 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
         return WeylElement(v, {})
     subwords = {}  # index -> its letter names, in rewrite order
     for name, idx in letters:
-        names = subwords.get(idx)
-        if names is None:
-            subwords[idx] = [name]
-        else:
-            names.append(name)
-    base = list(unit_mono(v))  # the triples of the one-term indices
-    shift = 0  # the q-exponent they contribute
-    wide = []  # (position, a, b, terms) of the indices with several terms
+        subwords.setdefault(idx, []).append(name)
+    out = {unit_mono(v): (0, P_ONE)}
     N = 0
     for idx, names in subwords.items():
         # the first letter rewrites the unit triple to its own triple
         t = _LETTER_TRIPLES[names[0]]
-        if len(names) == 1:
-            base[idx - 1] = t
-            continue
         a, b, n, terms = _index_state(v.kappa(idx), rule, t, names[1:])
-        if n:
-            N += n
-            wide.append((idx - 1, a, b, terms))
-        else:
-            # no x-d rewrite: one term, q^lo
-            ((c, (lo, _)),) = terms.items()
-            base[idx - 1] = (a, b, c)
-            shift += lo
-    if not wide:
-        if shift:
-            coeff = laurent_times(shift, P_ONE, coeff)
-        return WeylElement(v, {tuple(base): coeff})
-    # each index's state and each integer product is dropped once used, so
-    # a long word never holds its polynomials twice
-    out = {tuple(base): (shift, P_ONE)}
-    while wide:
-        p, a, b, terms = wide.pop()
+        N += n
+        p = idx - 1
         # distinct indices: no two (monomial, triple) pairs give one monomial
         out = {
             m[:p] + ((a, b, c),) + m[p + 1 :]: (lo1 + lo2, p_mul(cs1, cs2))
             for m, (lo1, cs1) in out.items()
             for c, (lo2, cs2) in terms.items()
         }
-    coeff = coeff * _QD ** N
+    if N:
+        coeff = coeff * _QD ** N
+    # each integer product is dropped once used, so a long word never holds
+    # its polynomials twice
     terms = {}
     for m in list(out):
         lo, cs = out.pop(m)
@@ -404,11 +384,6 @@ class EndoSpec:
     def apply_free(self, expr):
         """Image of a free expression, one side of a relation check."""
         return WeylElement(self.variant, self._collect(expr.terms.items()))
-
-
-def identity_endo(v):
-    images = {l: WeylElement.generator(v, *l) for l in generator_letters(v)}
-    return EndoSpec(v, images, label="id")
 
 
 def generator_letters(v):

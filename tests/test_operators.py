@@ -17,7 +17,6 @@ from qweyl.weyl import (
     WeylElement,
     check_well_defined_one,
     generator_letters,
-    identity_endo,
     reduce_word,
 )
 
@@ -31,6 +30,11 @@ I4 = Variant("imath", 4)
 
 def gen(v, name, i):
     return WeylElement.generator(v, name, i)
+
+
+def identity_endo(v):
+    """The substitution that fixes every letter."""
+    return weyl.EndoSpec(v, {l: gen(v, *l) for l in generator_letters(v)}, label="id")
 
 
 def test_prime_table_special_jmath():

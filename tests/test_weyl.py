@@ -15,7 +15,6 @@ from qweyl.weyl import (
     check_weyl_relations,
     check_well_defined_one,
     generator_letters,
-    identity_endo,
     letter_mono,
     mono_word,
     reduce_expr,
@@ -216,7 +215,7 @@ def test_reduce_expr_collects():
 
 def test_identity_endo_fixes_everything():
     rng = random.Random(808)
-    ident = identity_endo(J2)
+    ident = EndoSpec(J2, {l: gen(J2, *l) for l in generator_letters(J2)}, label="id")
     for _ in range(10):
         a = _random_elem(rng, J2)
         assert ident.apply(a) == a
@@ -471,6 +470,69 @@ def test_reduce_word_long_same_index_subwords():
                 for s in got.terms.values():
                     r = _rebuilt(s)
                     assert (s.val, s.num, s.dfac) == (r.val, r.num, r.dfac)
+
+
+def test_reduce_word_scalar_work(monkeypatch):
+    # a word without x-d rewrites makes no scalar product; a word with
+    # N > 0 rewrites makes one for coeff * (q - q^-1)^-N and one per output
+    # term whose integer polynomial is not +-1 (a +-q^e is a val shift)
+    calls = []
+    mul = QScalar.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    def products(v, word, coeff, strategy):
+        calls.clear()
+        monkeypatch.setattr(QScalar, "__mul__", counting)
+        try:
+            got = reduce_word(v, word, coeff, strategy)
+        finally:
+            monkeypatch.setattr(QScalar, "__mul__", mul)
+        return got, len(calls)
+
+    def N(word):
+        # each x-d rewrite at an index uses up one x and one d there
+        count = lambda name, i: sum(1 for l in word if l == (name, i))
+        return sum(min(count("x", i), count("d", i)) for i in {i for _, i in word})
+
+    J3 = Variant("jmath", 3)
+    # canonical order per index: no q-shift in either strategy
+    plain = (("x", 1), ("m", 1), ("d", 2), ("mi", 2), ("x", 4), ("x", 4), ("m", 4))
+    shifted = (("m", 1), ("x", 1), ("d", 4), ("m", 4), ("mi", 2), ("d", 2), ("d", 2))
+    rewrites = (
+        (("d", 1), ("x", 1)),
+        (("d", 1), ("x", 1), ("x", 2), ("d", 2)),
+        (("d", 4), ("x", 4), ("d", 4), ("x", 4), ("m", 1), ("x", 1), ("d", 1)),
+        (("x", 4), ("d", 4), ("d", 4), ("m", 4), ("x", 4), ("x", 4), ("d", 2)),
+        (("x", 3), ("d", 3)) * 3 + (("d", 1), ("x", 1)) * 2,
+    )
+
+    def scalar(coeff):
+        return from_int(coeff) if isinstance(coeff, int) else coeff
+
+    for strategy in ("left", "right"):
+        for coeff in (1, scalars.ONE, qpow(3), -qpow(-2)):
+            got, n = products(J3, plain, coeff, strategy)
+            ((s,),) = [got.terms.values()]
+            assert n == 0 and s == coeff
+            if coeff == 1:
+                assert s is scalars.ONE
+            got, n = products(J3, shifted, coeff, strategy)
+            ((s,),) = [got.terms.values()]
+            shift = s * scalar(coeff).inv()
+            assert n == 0 and shift == qpow(shift.val) and shift.val != 0
+        for coeff in (1, qpow(3), -qpow(-2), scalars.from_frac(-5, 7), QScalar((1,), (1, 0, 1))):
+            for word in rewrites:
+                got, n = products(J3, word, coeff, strategy)
+                base = scalar(coeff) * QD ** N(word)
+                polys = [s * base.inv() for s in got.terms.values()]
+                assert all(L.dfac == scalars.D_ONE for L in polys)
+                wide = sum(1 for L in polys if L.num not in ((1,), (-1,)))
+                assert n == 1 + wide, (word, coeff, strategy)
+                if word is rewrites[-1]:
+                    assert wide > 0
 
 
 def test_integer_term_accumulation_trims_and_drops():
