@@ -2,8 +2,10 @@
 
 The letters act by d_i X^a = [kappa(i) a_i] X^(a - e_i), x_i X^a =
 X^(a + e_i), m_i^{+-1} X^a = q^{+-kappa(i) a_i} X^a, rightmost letter
-first.  tcal_map binds a braid operator on polynomials and letter_action
-a letter, once for any number of polynomials; the check_* suites drive
+first.  tcal_map binds a braid operator on polynomials, action a Weyl
+element and letter_action a letter, once for any number of polynomials;
+action and letter_action wrap rules on terms, dicts {exponent vector:
+coefficient}, that the suites apply directly.  The check_* suites drive
 every module-level identity over the full grid of monomials with entries
 bounded by a degree parameter.
 """
@@ -94,14 +96,24 @@ class PolyElement(Terms):
         return PolyElement(self.variant, out)
 
 
-def letter_action(v, name, idx):
-    """The map poly -> letter . poly, bound once for any number of polynomials.
+def _on_polys(v, rule):
+    """The map poly -> PolyElement(v, rule(poly.terms)), checking each variant."""
 
-    The letter is validated and its weight read here, once; the map checks
-    only each polynomial's variant.  The rule is written apart from action,
-    so acting letter by letter stays an independent reference for it.  A
-    weight q^k shifts the coefficient's exponent; only [kappa t] times a
-    coefficient other than 1 is a product.
+    def apply(poly):
+        if poly.variant is not v:
+            v.check_variant(poly.variant)
+        return PolyElement(v, rule(poly.terms))
+
+    return apply
+
+
+def letter_rule(v, name, idx):
+    """letter_action's rule on terms: {exponent vector: QScalar} -> such a dict.
+
+    The letter is validated and its weight read here, once.  The rule is
+    written apart from action's, so acting letter by letter stays an
+    independent reference for it.  A weight q^k shifts the coefficient's
+    exponent; only [kappa t] times a coefficient other than 1 is a product.
     """
     validate_letter(v, name, idx)
     k = v.kappa(idx)
@@ -109,10 +121,9 @@ def letter_action(v, name, idx):
     p = idx - 1
     one = scalars.ONE
 
-    def apply(poly):
-        v.check_variant(poly.variant)
+    def rule(terms):
         out = {}
-        for a, c in poly.terms.items():
+        for a, c in terms.items():
             t = a[p]
             if name == "d":
                 if t == 0:
@@ -126,9 +137,14 @@ def letter_action(v, name, idx):
             # a letter sends distinct exponent vectors to distinct ones, and
             # [kappa t] and q^k are nonzero: no two terms meet, none cancels
             out[a] = c
-        return PolyElement(v, out)
+        return out
 
-    return apply
+    return rule
+
+
+def letter_action(v, name, idx):
+    """The map poly -> letter . poly: letter_rule on each polynomial's terms."""
+    return _on_polys(v, letter_rule(v, name, idx))
 
 
 def act_letter(v, name, idx, poly):
@@ -136,28 +152,43 @@ def act_letter(v, name, idx, poly):
     return letter_action(v, name, idx)(poly)
 
 
+def word_action(v, word):
+    """The map poly -> word . poly, one letter at a time, rightmost first.
+
+    Each letter's rule is bound here, once.  Acting letter by letter keeps
+    the word an independent reference for action on its normal form.
+    """
+    rules = [letter_rule(v, *l) for l in reversed(word)]
+
+    def rule(terms):
+        for r in rules:
+            terms = r(terms)
+        return terms
+
+    return _on_polys(v, rule)
+
+
 def act_word(v, word, poly):
-    """A letter word applied one letter at a time, rightmost first."""
-    for name, idx in reversed(word):
-        poly = act_letter(v, name, idx, poly)
-    return poly
+    """A letter word applied to a polynomial; see word_action."""
+    return word_action(v, word)(poly)
 
 
 # Always empty, as action keeps no table; perfbench/tracing.py reads the name.
 _ACT_CACHE = {}
 
 
-def action(v, elem):
-    """The map poly -> elem . poly, bound once for any number of polynomials.
+def action_rule(v, elem):
+    """action's rule on terms: {exponent vector: QScalar} -> such a dict.
 
     The element's variant is checked here, once, and each canonical monomial
     x^al d^be m^ga is kept with its coefficient and its support triples and
-    their weights; the map checks only each polynomial's variant.  At an
-    index of weight k where a has entry t the monomial sends X^a to
-    q^(ga k t) [k t][k (t - 1)]...[k (t - be + 1)] X^a with that entry
-    replaced by t - be + al, and annihilates X^a when t < be.  That weight
-    is kept as an integer Laurent polynomial q^lo cs(q) and applied to the
-    coefficient in one step, a shift of its exponent when cs is +-1.
+    their weights.  At an index of weight k where a has entry t the monomial
+    sends X^a to q^(ga k t) [k t][k (t - 1)]...[k (t - be + 1)] X^a with
+    that entry replaced by t - be + al, and annihilates X^a when t < be.
+    That weight is kept as an integer Laurent polynomial q^lo cs(q) and
+    applied to the coefficient in one step, a shift of its exponent when cs
+    is +-1.  Two monomials may send two vectors to one: such terms add, and
+    a sum that cancels drops its key.
     """
     v.check_variant(elem.variant)
     one = scalars.ONE
@@ -170,11 +201,10 @@ def action(v, elem):
         )
         parts.append((mc, support))
 
-    def apply(poly):
-        v.check_variant(poly.variant)
+    def rule(terms):
         out = {}
         for mc, support in parts:
-            for a, c in poly.terms.items():
+            for a, c in terms.items():
                 b = list(a)
                 lo = 0
                 cs = P_ONE
@@ -192,10 +222,26 @@ def action(v, elem):
                     # grid monomials and most letter images carry the coefficient 1
                     if mc is not one:
                         c = mc if c is one else c * mc
-                    acc(out, tuple(b), laurent_times(lo, cs, c))
-        return PolyElement(v, out)
+                    c = laurent_times(lo, cs, c)
+                    # acc inline: c is nonzero, so only a sum can cancel
+                    b = tuple(b)
+                    s = out.get(b)
+                    if s is None:
+                        out[b] = c
+                    else:
+                        s = s + c
+                        if s.is_zero:
+                            del out[b]
+                        else:
+                            out[b] = s
+        return out
 
-    return apply
+    return rule
+
+
+def action(v, elem):
+    """The map poly -> elem . poly: action_rule on each polynomial's terms."""
+    return _on_polys(v, action_rule(v, elem))
 
 
 def act(v, elem, poly):
@@ -242,7 +288,8 @@ def tcal_map(v, i, e, kind):
     seen = {}
 
     def apply(poly):
-        v.check_variant(poly.variant)
+        if poly.variant is not v:
+            v.check_variant(poly.variant)
         out = {}
         for a, c in poly.terms.items():
             img = seen.get(a)
@@ -273,25 +320,27 @@ def _grid_monos(v, bound):
     return [(a, PolyElement(v, {a: one})) for a in grid(v, bound)]
 
 
-def _intertwine_checks(v, e, monos, lefts, check):
+def _intertwine_checks(v, e, tmaps, monos, lefts, check):
     """tcal(left(X^a)) against right(tcal(X^a)), one record per (kind, i).
 
-    lefts lists (tag, left) sides, left a map from polynomials to
-    polynomials; check(kind, i) gives the id, the description and the
-    rights, a Weyl element per side, of the check at (kind, i).  A check's
-    instances run side by side, point by point, each tagged (tag, a).  The
-    checks run in lockstep: left(X^a) is taken once per side and point and
-    compared by every check still alive, and a check leaves at its first
-    mismatch, so it keeps the record it would have on its own.  Each check
-    binds one tcal map and keeps the tcal image of every grid monomial.
+    tmaps(i, e, kind) gives the suite call's tcal map; lefts lists
+    (tag, rule) sides, each a rule on terms like letter_rule; check(kind,
+    i) gives the id, the description and the rights, a Weyl element per
+    side, of the check at (kind, i).  A check's instances run side by side,
+    point by point, each tagged (tag, a).  The checks run in lockstep:
+    left(X^a) is taken once per side and point and compared by every check
+    still alive, and a check leaves at its first mismatch, so it keeps the
+    record it would have on its own.  Each check keeps the terms of the tcal
+    image of every grid monomial and applies its rights' rules to them;
+    only a failing instance's right side becomes a polynomial.
     """
     heads, live = [], []
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
             cid, text, rights = check(kind, i)
-            t = tcal_map(v, i, e, kind)
-            rights = [action(v, r) for r in rights]
-            live.append((len(heads), t, [t(m) for _, m in monos], rights))
+            t = tmaps(i, e, kind)
+            rights = [action_rule(v, r) for r in rights]
+            live.append((len(heads), t, [t(m).terms for _, m in monos], rights))
             heads.append((cid, text))
     records = [None] * len(heads)
     n = 0
@@ -300,11 +349,12 @@ def _intertwine_checks(v, e, monos, lefts, check):
             if not live:
                 break
             n += 1
-            lm = left(m)
+            lm = PolyElement(v, left(m.terms))
             failed = False
             for k, t, tms, rights in live:
                 lhs, rhs = t(lm), rights[s](tms[j])
-                if lhs != rhs:
+                if lhs.terms != rhs:
+                    rhs = PolyElement(v, rhs)
                     records[k] = aggregate_record(*heads[k], n, ((tag, a), lhs, rhs))
                     failed = True
             if failed:
@@ -336,7 +386,7 @@ def check_module_homomorphism(v, bound):
                 "module-homomorphism/word/%02d" % w,
                 "the word %s acts like its normal form on the grid"
                 % " ".join(letter_tag(l) for l in word),
-                pointwise(points, lambda m: act_word(v, word, m), elem),
+                pointwise(points, word_action(v, word), elem),
             )
         )
     for t in range(6):
@@ -375,8 +425,11 @@ def check_tcal_suite(v, e, bound):
     """Intertwining with the algebra braid action, inverses, braid moves."""
     monos = _grid_monos(v, bound)
     letters = generator_letters(v)
+    # one tcal map per (i, e, kind) serves every check of the call, so each
+    # map's memo evaluates a point once for the intertwine and relation checks
+    tmaps = functools.cache(functools.partial(tcal_map, v))
     # letter by letter on the tcal side: the independent reference
-    lefts = [(letter_tag(l), letter_action(v, *l)) for l in letters]
+    lefts = [(letter_tag(l), letter_rule(v, *l)) for l in letters]
 
     def intertwine(kind, i):
         t_op = operators.braid_op(v, i, e, kind)
@@ -387,10 +440,10 @@ def check_tcal_suite(v, e, bound):
             [t_op.images[l] for l in letters],
         )
 
-    checks = _intertwine_checks(v, e, monos, lefts, intertwine)
+    checks = _intertwine_checks(v, e, tmaps, monos, lefts, intertwine)
 
     def compose(word):
-        maps = [tcal_map(v, *t) for t in reversed(word)]
+        maps = [tmaps(*t) for t in reversed(word)]
 
         def at(poly):
             for t in maps:
@@ -412,7 +465,7 @@ def check_iu_module(v, e, bound):
     """The coideal action through phi is braided compatibly with tcal."""
     letters = iqg.iqg_letters(v)
     ph = iqg.phi_spec(v)
-    lefts = [(letter_tag(u), action(v, ph.image(u))) for u in letters]
+    lefts = [(letter_tag(u), action_rule(v, ph.image(u))) for u in letters]
 
     def moved(kind, i):
         ph_s = iqg.fuse(ph, iqg.tau_subst(v, i, e, kind))
@@ -423,4 +476,5 @@ def check_iu_module(v, e, bound):
             [ph_s.image(u) for u in letters],
         )
 
-    return _intertwine_checks(v, e, _grid_monos(v, bound), lefts, moved)
+    tmaps = functools.partial(tcal_map, v)
+    return _intertwine_checks(v, e, tmaps, _grid_monos(v, bound), lefts, moved)

@@ -238,6 +238,54 @@ def test_letter_action_matches_the_generator_action():
                 assert bound(f) == gen(f) == act_letter(v, *l, f)
 
 
+def test_rules_on_terms_match_their_maps_and_act_word():
+    rng = random.Random(59)
+    for v in (J1, J2, I1, I2):
+        letters = generator_letters(v)
+        # 3 to 5 terms each, with coefficients 1, +-q^k, rationals and
+        # (q - q^-1)-denominators
+        polys = []
+        for _ in range(6):
+            points = rng.sample(list(grid(v, 3)), rng.randint(3, 5))
+            polys.append(PolyElement(v, {a: rng.choice(_COEFFS) for a in points}))
+        for l in letters:
+            rule, bound = polymod.letter_rule(v, *l), polymod.letter_action(v, *l)
+            for f in polys:
+                got = rule(f.terms)
+                assert got == bound(f).terms == act_word(v, (l,), f).terms, l
+        # (m_p - m_p^-1)/(q - q^-1) plus a word: the m terms cancel on X^a
+        # with a_p = 0, where the word adds nothing
+        for _ in range(6):
+            p = rng.choice(v.weyl_indices)
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            cancel = reduce_word(v, (("m", p),)) - reduce_word(v, (("mi", p),))
+            elem = cancel.scale(_QD.inv()) + reduce_word(v, word)
+            rule, bound = polymod.action_rule(v, elem), polymod.action(v, elem)
+            one = PolyElement.unit(v)
+            for f in polys + [one]:
+                got = rule(f.terms)
+                want = act_word(v, (("m", p),), f) - act_word(v, (("mi", p),), f)
+                want = want.scale(_QD.inv()) + act_word(v, word, f)
+                assert got == bound(f).terms == want.terms, (p, word)
+            assert rule(one.terms) == act_word(v, word, one).terms
+
+
+def test_public_maps_check_each_polynomial_variant():
+    twin = Variant("jmath", 2)  # equal to J2, another object
+    f, g = mono(twin, (1, 2, 1)), mono(I2, (1, 2, 1))
+    elem = reduce_word(J2, (("x", 1), ("d", 2)))
+    maps = [polymod.action(J2, elem)] + [
+        polymod.letter_action(J2, *l) for l in generator_letters(J2)
+    ]
+    for bound in maps:
+        assert bound(f) == bound(mono(J2, (1, 2, 1)))
+        assert bound(f).variant is J2
+        with pytest.raises(ValueError, match="variant mismatch"):
+            bound(g)
+        with pytest.raises(ValueError, match="variant mismatch"):
+            bound(PolyElement(I2, {}))
+
+
 def test_tcal_map_evaluates_each_exponent_vector_once(monkeypatch):
     rng = random.Random(53)
     polys = [_rand_poly(rng, J2, 2) for _ in range(20)]
@@ -369,10 +417,11 @@ def test_variant_checks_survive_identity_short_circuit():
             call()
 
 
-def _counting(monkeypatch, mod, factory, calls, key=lambda *args: None):
+def _counting(monkeypatch, mod, factory, calls, key=lambda *args: None, binds=None):
     """Replace mod.factory by one whose bound maps count their applications.
 
-    calls[key(*args)] counts the applications of the maps bound with args.
+    calls[key(*args)] counts the applications of the maps bound with args;
+    binds, if given, collects the args of every bind.
     """
     real = getattr(mod, factory)
 
@@ -380,10 +429,12 @@ def _counting(monkeypatch, mod, factory, calls, key=lambda *args: None):
         bound = real(*args)
         k = key(*args)
         calls.setdefault(k, 0)
+        if binds is not None:
+            binds.append(args)
 
-        def apply(poly):
+        def apply(x):
             calls[k] += 1
-            return bound(poly)
+            return bound(x)
 
         return apply
 
@@ -391,8 +442,8 @@ def _counting(monkeypatch, mod, factory, calls, key=lambda *args: None):
 
 
 def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
-    calls = {}
-    _counting(monkeypatch, polymod, "tcal_map", calls)
+    calls, binds = {}, []
+    _counting(monkeypatch, polymod, "tcal_map", calls, binds=binds)
     per_relation = {}
 
     def attributing(cid, description, instances):
@@ -407,9 +458,15 @@ def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
     points = (bound + 1) ** (v.rank + 1)
     checks = polymod.check_tcal_suite(v, 1, bound)
     assert all(c.status in (PASS, SKIP) for c in checks)
+    # one tcal map per (i, e, kind) serves the whole suite call: the
+    # intertwine checks at e = 1 and the relation checks, whose inverse
+    # pairs also take the doubleprime operators at e = -1
+    ops = ((1, "prime"), (1, "doubleprime"), (-1, "doubleprime"))
+    want = [(v, i, e, kind) for i in v.braid_indices for e, kind in ops]
+    assert sorted(binds) == sorted(want)
     # per intertwine check: tcal after each (letter, point), and one tcal
     # image per point that every letter reuses; the rest of the suite call
-    # is the relation checks, each binding every operator of a word
+    # is the relation checks, each applying every operator of a word
     n_letters = len(generator_letters(v))
     n_intertwine = sum(c.id.startswith("tcal/intertwine/") for c in checks)
     assert n_intertwine == 4
@@ -419,25 +476,51 @@ def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
     assert per_relation["tcal/braid/4-term/prime/i=2"] == 8 * points
 
     calls.clear()
+    binds.clear()
     checks = polymod.check_iu_module(v, -1, bound)
     assert len(checks) == 4 and all(c.status == PASS for c in checks)
     n_letters = len(iqg.iqg_letters(v))
     assert calls == {None: len(checks) * (n_letters + 1) * points}
+    assert len(binds) == len(checks)
+
+
+def test_tcal_suite_evaluates_each_point_once_per_call(monkeypatch):
+    # the intertwine and relation checks of a suite call share one tcal map
+    # per (i, e, kind), so each (i, e, kind, a) is evaluated once per call
+    seen = []
+    real_point = polymod._tcal_point
+
+    def counted(v, i, e, kind, a):
+        seen.append((i, e, kind, a))
+        return real_point(v, i, e, kind, a)
+
+    monkeypatch.setattr(polymod, "_tcal_point", counted)
+    for v in (J2, I2, Variant("jmath", 3)):
+        for e in (1, -1):
+            seen.clear()
+            checks = polymod.check_tcal_suite(v, e, 2)
+            assert all(c.status in (PASS, SKIP) for c in checks)
+            assert len(seen) == len(set(seen)), (v, e)
+            # the relation checks see the grid under every operator they use
+            for i in v.braid_indices:
+                for t in ((i, e, "prime"), (i, -e, "doubleprime")):
+                    assert set(grid(v, 2)) <= {p[3] for p in seen if p[:3] == t}
 
 
 def test_module_suites_take_each_left_image_once_per_call(monkeypatch):
     # the checks of a suite call run in lockstep: each letter's left side is
-    # applied once per grid point, not once per (kind, i) check
+    # applied once per grid point, not once per (kind, i) check; the driver
+    # applies the sides' rules on terms
     v, bound = J2, 1
     points = (bound + 1) ** (v.rank + 1)
     calls = {}
-    _counting(monkeypatch, polymod, "letter_action", calls, key=lambda v, *l: l)
+    _counting(monkeypatch, polymod, "letter_rule", calls, key=lambda v, *l: l)
     checks = polymod.check_tcal_suite(v, 1, bound)
     assert sum(c.id.startswith("tcal/intertwine/") for c in checks) == 4
     assert calls == {l: points for l in generator_letters(v)}
 
-    # iu-module binds each left side phi(u) and each right side
-    # phi(tau(u)) through action; count the maps bound from phi's images
+    # iu-module binds the rule of each left side phi(u) and of each right
+    # side phi(tau(u)); count the rules bound from phi's images
     specs = []
     real_phi_spec = iqg.phi_spec
 
@@ -447,7 +530,7 @@ def test_module_suites_take_each_left_image_once_per_call(monkeypatch):
 
     monkeypatch.setattr(iqg, "phi_spec", phi_spec)
     calls = {}
-    _counting(monkeypatch, polymod, "action", calls, key=lambda v, elem: id(elem))
+    _counting(monkeypatch, polymod, "action_rule", calls, key=lambda v, elem: id(elem))
     checks = polymod.check_iu_module(v, 1, bound)
     assert len(checks) == 4 and all(c.status == PASS for c in checks)
     (ph,) = specs
@@ -455,6 +538,27 @@ def test_module_suites_take_each_left_image_once_per_call(monkeypatch):
     assert {lefts[k]: n for k, n in calls.items() if k in lefts} == {
         u: points for u in iqg.iqg_letters(v)
     }
+
+
+def test_module_homomorphism_binds_each_word_once_per_check(monkeypatch):
+    # each random word's letter rules are bound once per word check and
+    # applied once per grid point, letter by letter
+    v, bound = J2, 2
+    points = (bound + 1) ** (v.rank + 1)
+    calls, binds = {}, []
+    _counting(monkeypatch, polymod, "letter_rule", calls, binds=binds)
+    checks = polymod.check_module_homomorphism(v, bound)
+    assert all(c.status == PASS for c in checks)
+    words = [
+        c.description.removeprefix("the word ").removesuffix(
+            " acts like its normal form on the grid"
+        ).split()
+        for c in checks
+        if c.id.startswith("module-homomorphism/word/")
+    ]
+    assert len(words) == 10
+    assert len(binds) == sum(len(w) for w in words)
+    assert calls == {None: len(binds) * points}
 
 
 def test_lockstep_checks_keep_their_check_major_records(monkeypatch):
