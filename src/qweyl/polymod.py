@@ -152,25 +152,11 @@ def act_letter(v, name, idx, poly):
     return letter_action(v, name, idx)(poly)
 
 
-def word_action(v, word):
-    """The map poly -> word . poly, one letter at a time, rightmost first.
-
-    Each letter's rule is bound here, once.  Acting letter by letter keeps
-    the word an independent reference for action on its normal form.
-    """
-    rules = [letter_rule(v, *l) for l in reversed(word)]
-
-    def rule(terms):
-        for r in rules:
-            terms = r(terms)
-        return terms
-
-    return _on_polys(v, rule)
-
-
 def act_word(v, word, poly):
-    """A letter word applied to a polynomial; see word_action."""
-    return word_action(v, word)(poly)
+    """A letter word applied one letter at a time, rightmost first."""
+    for name, idx in reversed(word):
+        poly = act_letter(v, name, idx, poly)
+    return poly
 
 
 # Always empty, as action keeps no table; perfbench/tracing.py reads the name.
@@ -222,18 +208,7 @@ def action_rule(v, elem):
                     # grid monomials and most letter images carry the coefficient 1
                     if mc is not one:
                         c = mc if c is one else c * mc
-                    c = laurent_times(lo, cs, c)
-                    # acc inline: c is nonzero, so only a sum can cancel
-                    b = tuple(b)
-                    s = out.get(b)
-                    if s is None:
-                        out[b] = c
-                    else:
-                        s = s + c
-                        if s.is_zero:
-                            del out[b]
-                        else:
-                            out[b] = s
+                    acc(out, tuple(b), laurent_times(lo, cs, c))
         return out
 
     return rule
@@ -386,7 +361,7 @@ def check_module_homomorphism(v, bound):
                 "module-homomorphism/word/%02d" % w,
                 "the word %s acts like its normal form on the grid"
                 % " ".join(letter_tag(l) for l in word),
-                pointwise(points, word_action(v, word), elem),
+                pointwise(points, lambda m: act_word(v, word, m), elem),
             )
         )
     for t in range(6):
@@ -476,5 +451,5 @@ def check_iu_module(v, e, bound):
             [ph_s.image(u) for u in letters],
         )
 
-    tmaps = functools.partial(tcal_map, v)
+    tmaps = functools.cache(functools.partial(tcal_map, v))
     return _intertwine_checks(v, e, tmaps, _grid_monos(v, bound), lefts, moved)

@@ -540,27 +540,6 @@ def test_module_suites_take_each_left_image_once_per_call(monkeypatch):
     }
 
 
-def test_module_homomorphism_binds_each_word_once_per_check(monkeypatch):
-    # each random word's letter rules are bound once per word check and
-    # applied once per grid point, letter by letter
-    v, bound = J2, 2
-    points = (bound + 1) ** (v.rank + 1)
-    calls, binds = {}, []
-    _counting(monkeypatch, polymod, "letter_rule", calls, binds=binds)
-    checks = polymod.check_module_homomorphism(v, bound)
-    assert all(c.status == PASS for c in checks)
-    words = [
-        c.description.removeprefix("the word ").removesuffix(
-            " acts like its normal form on the grid"
-        ).split()
-        for c in checks
-        if c.id.startswith("module-homomorphism/word/")
-    ]
-    assert len(words) == 10
-    assert len(binds) == sum(len(w) for w in words)
-    assert calls == {None: len(binds) * points}
-
-
 def test_lockstep_checks_keep_their_check_major_records(monkeypatch):
     # two intertwine checks of one tcal suite call fail at different
     # (letter, point) pairs; each record must be the one the check gives

@@ -97,10 +97,8 @@ def test_a_passing_check_never_renders_a_tag():
 
 
 def test_module_homomorphism_failure_renders_the_point(monkeypatch):
-    real = polymod.word_action
-    monkeypatch.setattr(
-        polymod, "word_action", lambda v, w: lambda p, f=real(v, w): f(p).scale(qpow(1))
-    )
+    real = polymod.act_word
+    monkeypatch.setattr(polymod, "act_word", lambda v, w, p: real(v, w, p).scale(qpow(1)))
     checks = polymod.check_module_homomorphism(Variant("jmath", 1), 1)
     c = {c.id: c for c in checks}["module-homomorphism/word/01"]
     assert (c.status, c.lhs, c.rhs) == (FAIL, "[X^(0, 0)] q", "[X^(0, 0)] 1")
