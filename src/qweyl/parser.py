@@ -26,7 +26,7 @@ iqg, one monomial for poly.  A scalar result stays a QScalar until it meets
 an element, and is lifted as the empty word.
 """
 
-from . import iqg, scalars
+from . import iqg, scalars, weyl
 from .expressions import FreeExpr, qcomm
 from .polymod import PolyElement
 from .weyl import reduce_word, validate_letter
@@ -38,6 +38,9 @@ _CONTEXTS = {"weyl": "dxm", "iqg": "BK", "poly": "X"}
 # eagerly ((q+1)^k has k + 1 coefficients, x1^k is a word of k letters), so
 # unbounded input could exhaust memory.
 MAX_EXPONENT = 1000
+# Most x and d letters a weyl word may have at one index; reduce_word
+# enforces it, so the limit is defined in weyl.
+MAX_INDEX_LETTERS = weyl.MAX_INDEX_LETTERS
 
 
 class ParseError(ValueError):

@@ -295,6 +295,24 @@ def _grid_monos(v, bound):
     return [(a, PolyElement(v, {a: one})) for a in grid(v, bound)]
 
 
+def _tcal_maps(v):
+    """The tcal maps of one suite call: tmaps(i, e, kind), each bound once.
+
+    At the pinned index _tcal_point does not read kind, so the two kinds
+    there share the map bound first for (i, e).
+    """
+    maps = {}
+
+    def tmaps(i, e, kind):
+        key = (i, e, None if v.pinned(i) else kind)
+        t = maps.get(key)
+        if t is None:
+            t = maps[key] = tcal_map(v, i, e, kind)
+        return t
+
+    return tmaps
+
+
 def _intertwine_checks(v, e, tmaps, monos, lefts, check):
     """tcal(left(X^a)) against right(tcal(X^a)), one record per (kind, i).
 
@@ -302,21 +320,32 @@ def _intertwine_checks(v, e, tmaps, monos, lefts, check):
     (tag, rule) sides, each a rule on terms like letter_rule; check(kind,
     i) gives the id, the description and the rights, a Weyl element per
     side, of the check at (kind, i).  A check's instances run side by side,
-    point by point, each tagged (tag, a).  The checks run in lockstep:
-    left(X^a) is taken once per side and point and compared by every check
-    still alive, and a check leaves at its first mismatch, so it keeps the
-    record it would have on its own.  Each check keeps the terms of the tcal
-    image of every grid monomial and applies its rights' rules to them;
-    only a failing instance's right side becomes a polynomial.
+    point by point, each tagged (tag, a).  Checks whose tcal map is one
+    object and whose rights compare equal form one group, which runs once
+    and writes its record under each member's id and description.  The
+    groups run in lockstep: left(X^a) is taken once per side and point and
+    compared by every group still alive, and a group leaves at its first
+    mismatch, so each check keeps the record it would have on its own.
+    Each group keeps the terms of the tcal image of every grid monomial and
+    applies its rights' rules to them; only a failing instance's right side
+    becomes a polynomial.
     """
-    heads, live = [], []
+    heads, groups = [], []
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
             cid, text, rights = check(kind, i)
             t = tmaps(i, e, kind)
-            rights = [action_rule(v, r) for r in rights]
-            live.append((len(heads), t, [t(m).terms for _, m in monos], rights))
+            for members, gt, grights in groups:
+                if gt is t and grights == rights:
+                    members.append(len(heads))
+                    break
+            else:
+                groups.append(([len(heads)], t, rights))
             heads.append((cid, text))
+    live = [
+        (members, t, [t(m).terms for _, m in monos], [action_rule(v, r) for r in rs])
+        for members, t, rs in groups
+    ]
     records = [None] * len(heads)
     n = 0
     for s, (tag, left) in enumerate(lefts):
@@ -326,16 +355,18 @@ def _intertwine_checks(v, e, tmaps, monos, lefts, check):
             n += 1
             lm = PolyElement(v, left(m.terms))
             failed = False
-            for k, t, tms, rights in live:
+            for members, t, tms, rights in live:
                 lhs, rhs = t(lm), rights[s](tms[j])
                 if lhs.terms != rhs:
-                    rhs = PolyElement(v, rhs)
-                    records[k] = aggregate_record(*heads[k], n, ((tag, a), lhs, rhs))
+                    bad = ((tag, a), lhs, PolyElement(v, rhs))
+                    for k in members:
+                        records[k] = aggregate_record(*heads[k], n, bad)
                     failed = True
             if failed:
-                live = [c for c in live if records[c[0]] is None]
-    for k, *_ in live:
-        records[k] = aggregate_record(*heads[k], n)
+                live = [g for g in live if records[g[0][0]] is None]
+    for members, *_ in live:
+        for k in members:
+            records[k] = aggregate_record(*heads[k], n)
     return records
 
 
@@ -400,9 +431,10 @@ def check_tcal_suite(v, e, bound):
     """Intertwining with the algebra braid action, inverses, braid moves."""
     monos = _grid_monos(v, bound)
     letters = generator_letters(v)
-    # one tcal map per (i, e, kind) serves every check of the call, so each
-    # map's memo evaluates a point once for the intertwine and relation checks
-    tmaps = functools.cache(functools.partial(tcal_map, v))
+    # one tcal map per (i, e, kind), per (i, e) at the pinned index, serves
+    # every check of the call, so each map's memo evaluates a point once for
+    # the intertwine and relation checks
+    tmaps = _tcal_maps(v)
     # letter by letter on the tcal side: the independent reference
     lefts = [(letter_tag(l), letter_rule(v, *l)) for l in letters]
 
@@ -451,5 +483,4 @@ def check_iu_module(v, e, bound):
             [ph_s.image(u) for u in letters],
         )
 
-    tmaps = functools.cache(functools.partial(tcal_map, v))
-    return _intertwine_checks(v, e, tmaps, _grid_monos(v, bound), lefts, moved)
+    return _intertwine_checks(v, e, _tcal_maps(v), _grid_monos(v, bound), lefts, moved)

@@ -22,6 +22,11 @@ from .scalars import P_ONE, laurent_times, p_mul, p_neg, p_trim, p_val, qpow
 
 WEYL_LETTER_NAMES = ("d", "x", "m", "mi")
 
+# Most x and d letters reduce_word takes at one index: reducing n of them
+# takes time about n^4 (d1^160 x1^160 several seconds), so a longer word is
+# refused before any index is reduced.
+MAX_INDEX_LETTERS = 200
+
 # 1/(q - q^-1)
 _QD = scalars.QScalar((0, 1), (-1, 0, 1))
 
@@ -272,7 +277,9 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
     index and every index's subword is reduced on its own integer state by
     _index_state.  Each state is multiplied into the terms so far as
     integer polynomials over one shared (q - q^-1)^-N, N the sum of the
-    states' x-d rewrites; each output term then becomes one scalar.
+    states' x-d rewrites; each output term then becomes one scalar.  A word
+    with more than MAX_INDEX_LETTERS x and d letters at one index raises
+    ValueError before any index is reduced.
     """
     if strategy == "left":
         rule, letters = _append_right, word
@@ -289,6 +296,14 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
     subwords = {}  # index -> its letter names, in rewrite order
     for name, idx in letters:
         subwords.setdefault(idx, []).append(name)
+    for idx, names in subwords.items():
+        if len(names) > MAX_INDEX_LETTERS:
+            n = len(names) - names.count("m") - names.count("mi")
+            if n > MAX_INDEX_LETTERS:
+                raise ValueError(
+                    "word has %d x and d letters at index %d, above the limit of %d"
+                    % (n, idx, MAX_INDEX_LETTERS)
+                )
     out = {unit_mono(v): (0, P_ONE)}
     N = 0
     for idx, names in subwords.items():

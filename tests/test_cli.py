@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qweyl import cli, operators
+from qweyl import cli, operators, parser
 from qweyl.cli import main
 from qweyl.weyl import EndoSpec
 
@@ -238,6 +238,24 @@ def test_huge_exponent_is_rejected(capsys):
     assert time.perf_counter() - t0 < 5
     rc, out, _ = run(capsys, ["normalize", "q^1000 q^-1000", "--variant", "jmath", "--rank", "1"])
     assert rc == 0 and out == "1\n"
+
+
+def test_hostile_long_word_is_rejected_before_reduction(capsys):
+    # every exponent is within the limit, but 2,000 x and d letters at one
+    # index would take far longer than the run allows; reduce_word refuses
+    # the word before reducing any index
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, ["normalize", "d1^1000 x1^1000", "--variant", "jmath", "--rank", "1"])
+    assert rc == 2 and "index 1" in err and "limit of 200" in err
+    assert time.perf_counter() - t0 < 0.5
+    # m letters do not count, and the limit is per index
+    n = parser.MAX_INDEX_LETTERS
+    expr = "x1^%d m1^500 d2^%d" % (n, n)
+    rc, out, _ = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+    assert rc == 0 and out == expr + "\n"
+    expr = "x1 d2^150 x2^%d" % (n - 149)
+    rc, _, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+    assert rc == 2 and "%d x and d letters at index 2" % (n + 1) in err
 
 
 def test_mutation_fails_verify(capsys, monkeypatch):

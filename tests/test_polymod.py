@@ -460,18 +460,22 @@ def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
     assert all(c.status in (PASS, SKIP) for c in checks)
     # one tcal map per (i, e, kind) serves the whole suite call: the
     # intertwine checks at e = 1 and the relation checks, whose inverse
-    # pairs also take the doubleprime operators at e = -1
+    # pairs also take the doubleprime operators at e = -1; at the pinned
+    # index the intertwine checks of both kinds share the prime map
     ops = ((1, "prime"), (1, "doubleprime"), (-1, "doubleprime"))
     want = [(v, i, e, kind) for i in v.braid_indices for e, kind in ops]
+    want.remove((v, v.bmax, 1, "doubleprime"))
     assert sorted(binds) == sorted(want)
-    # per intertwine check: tcal after each (letter, point), and one tcal
-    # image per point that every letter reuses; the rest of the suite call
-    # is the relation checks, each applying every operator of a word
+    # per intertwine evaluator: tcal after each (letter, point), and one tcal
+    # image per point that every letter reuses; the two pinned checks, with
+    # one map and equal rights, share one evaluator, so the 4 checks take 3.
+    # The rest of the suite call is the relation checks, each applying every
+    # operator of a word
     n_letters = len(generator_letters(v))
     n_intertwine = sum(c.id.startswith("tcal/intertwine/") for c in checks)
     assert n_intertwine == 4
     intertwine_calls = calls[None] - sum(per_relation.values())
-    assert intertwine_calls == n_intertwine * (n_letters + 1) * points
+    assert intertwine_calls == 3 * (n_letters + 1) * points
     assert per_relation["tcal/inverse/doubleprime-after-prime/i=1"] == 2 * points
     assert per_relation["tcal/braid/4-term/prime/i=2"] == 8 * points
 
@@ -480,8 +484,50 @@ def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
     checks = polymod.check_iu_module(v, -1, bound)
     assert len(checks) == 4 and all(c.status == PASS for c in checks)
     n_letters = len(iqg.iqg_letters(v))
-    assert calls == {None: len(checks) * (n_letters + 1) * points}
-    assert len(binds) == len(checks)
+    assert calls == {None: 3 * (n_letters + 1) * points}
+    assert sorted(binds) == sorted(
+        [(v, 1, -1, "prime"), (v, 1, -1, "doubleprime"), (v, 2, -1, "prime")]
+    )
+
+
+def test_pinned_checks_share_only_equal_right_sides(monkeypatch):
+    # the two kinds at the pinned index share one tcal map; a change to the
+    # prime side alone must fail the prime check and leave the doubleprime
+    # check passing, so checks share an evaluator only on equal right sides
+    from qweyl import operators
+
+    real_braid_op, real_tau_subst = operators.braid_op, iqg.tau_subst
+
+    def braid_op(v, i, e, kind):
+        op = real_braid_op(v, i, e, kind)
+        if kind == "prime" and v.pinned(i):
+            letter = ("x", v.rank + 1)
+            op.images[letter] = op.images[letter].scale(qpow(1))
+        return op
+
+    def tau_subst(v, i, e, kind):
+        s = real_tau_subst(v, i, e, kind)
+        if kind == "prime" and v.pinned(i):
+            s.images[("B", 1)] = s.images[("B", 1)].scale(qpow(1))
+        return s
+
+    monkeypatch.setattr(operators, "braid_op", braid_op)
+    monkeypatch.setattr(iqg, "tau_subst", tau_subst)
+    for v in (J2, I2):
+        for e in (1, -1):
+            checks = [
+                c
+                for c in polymod.check_tcal_suite(v, e, 2)
+                if c.id.startswith("tcal/intertwine/")
+            ]
+            checks += polymod.check_iu_module(v, e, 2)
+            assert len(checks) == 4 * v.bmax
+            failing = {
+                "tcal/intertwine/prime/i=%d" % v.bmax,
+                "iu-module/prime/i=%d" % v.bmax,
+            }
+            assert {c.id for c in checks if c.status == FAIL} == failing, (v, e)
+            assert all(c.status == PASS for c in checks if c.id not in failing)
 
 
 def test_tcal_suite_evaluates_each_point_once_per_call(monkeypatch):
