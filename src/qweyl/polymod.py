@@ -2,12 +2,12 @@
 
 The letters act by d_i X^a = [kappa(i) a_i] X^(a - e_i), x_i X^a =
 X^(a + e_i), m_i^{+-1} X^a = q^{+-kappa(i) a_i} X^a, rightmost letter
-first.  tcal_map binds a braid operator on polynomials, action a Weyl
-element and letter_action a letter, once for any number of polynomials;
-action and letter_action wrap rules on terms, dicts {exponent vector:
-coefficient}, that the suites apply directly.  The check_* suites drive
-every module-level identity over the full grid of monomials with entries
-bounded by a degree parameter.
+first.  Each module operator is bound once as a rule on terms, a map from
+dicts {exponent vector: coefficient} to such dicts: letter_rule binds a
+letter, action_rule a Weyl element and tcal_rule a braid operator.
+act_letter, act and tcal are their one-shot forms on polynomials.  The
+check_* suites drive every module-level identity over the full grid of
+monomials with entries bounded by a degree parameter.
 """
 
 import functools
@@ -100,18 +100,17 @@ def _on_polys(v, rule):
     """The map poly -> PolyElement(v, rule(poly.terms)), checking each variant."""
 
     def apply(poly):
-        if poly.variant is not v:
-            v.check_variant(poly.variant)
+        v.check_variant(poly.variant)
         return PolyElement(v, rule(poly.terms))
 
     return apply
 
 
 def letter_rule(v, name, idx):
-    """letter_action's rule on terms: {exponent vector: QScalar} -> such a dict.
+    """A letter's rule on terms, {exponent vector: QScalar} -> such a dict.
 
     The letter is validated and its weight read here, once.  The rule is
-    written apart from action's, so acting letter by letter stays an
+    written apart from action_rule's, so acting letter by letter stays an
     independent reference for it.  A weight q^k shifts the coefficient's
     exponent; only [kappa t] times a coefficient other than 1 is a product.
     """
@@ -142,14 +141,9 @@ def letter_rule(v, name, idx):
     return rule
 
 
-def letter_action(v, name, idx):
-    """The map poly -> letter . poly: letter_rule on each polynomial's terms."""
-    return _on_polys(v, letter_rule(v, name, idx))
-
-
 def act_letter(v, name, idx, poly):
-    """One generator letter applied to a polynomial; see letter_action."""
-    return letter_action(v, name, idx)(poly)
+    """One generator letter applied to a polynomial; see letter_rule."""
+    return _on_polys(v, letter_rule(v, name, idx))(poly)
 
 
 def act_word(v, word, poly):
@@ -159,12 +153,12 @@ def act_word(v, word, poly):
     return poly
 
 
-# Always empty, as action keeps no table; perfbench/tracing.py reads the name.
+# Always empty, as action_rule keeps no table; perfbench/tracing.py reads the name.
 _ACT_CACHE = {}
 
 
 def action_rule(v, elem):
-    """action's rule on terms: {exponent vector: QScalar} -> such a dict.
+    """An element's rule on terms, {exponent vector: QScalar} -> such a dict.
 
     The element's variant is checked here, once, and each canonical monomial
     x^al d^be m^ga is kept with its coefficient and its support triples and
@@ -214,14 +208,9 @@ def action_rule(v, elem):
     return rule
 
 
-def action(v, elem):
-    """The map poly -> elem . poly: action_rule on each polynomial's terms."""
-    return _on_polys(v, action_rule(v, elem))
-
-
 def act(v, elem, poly):
-    """A Weyl-algebra element applied to a polynomial; see action."""
-    return action(v, elem)(poly)
+    """A Weyl-algebra element applied to a polynomial; see action_rule."""
+    return _on_polys(v, action_rule(v, elem))(poly)
 
 
 def _tcal_point(v, i, e, kind, a):
@@ -250,23 +239,21 @@ def _tcal_weight(sign, k):
     return (sign,), -w if sign < 0 else w
 
 
-def tcal_map(v, i, e, kind):
-    """The braid operator on polynomials with subscripts i and e, bound once.
+def tcal_rule(v, i, e, kind):
+    """The braid operator with subscripts i and e as a rule on terms.
 
-    The subscripts are checked here, once; the map checks only each
-    polynomial's variant.  It remembers the image X^b, k, the sign and the
-    scalar +-q^k of each exponent vector a it has seen, for as long as the
-    map lives: a unit coefficient takes the scalar, any other is shifted.
+    The subscripts are checked here, once.  The rule remembers the image
+    X^b, k, the sign and the scalar +-q^k of each exponent vector a it has
+    seen, for as long as the rule lives: a unit coefficient takes the
+    scalar, any other is shifted.
     """
     v.check_braid_args(i, e, kind)
     one = scalars.ONE
     seen = {}
 
-    def apply(poly):
-        if poly.variant is not v:
-            v.check_variant(poly.variant)
+    def rule(terms):
         out = {}
-        for a, c in poly.terms.items():
+        for a, c in terms.items():
             img = seen.get(a)
             if img is None:
                 sign, k, b = _tcal_point(v, i, e, kind, a)
@@ -274,14 +261,14 @@ def tcal_map(v, i, e, kind):
             b, k, cs, w = img
             # tcal permutes exponent vectors: no two terms meet, none cancels
             out[b] = w if c is one else laurent_times(k, cs, c)
-        return PolyElement(v, out)
+        return out
 
-    return apply
+    return rule
 
 
 def tcal(v, i, e, kind, poly):
-    """The braid operator on polynomials with subscripts i and e; see tcal_map."""
-    return tcal_map(v, i, e, kind)(poly)
+    """The braid operator on polynomials with subscripts i and e; see tcal_rule."""
+    return _on_polys(v, tcal_rule(v, i, e, kind))(poly)
 
 
 def grid(v, bound):
@@ -289,52 +276,48 @@ def grid(v, bound):
     return itertools.product(range(bound + 1), repeat=v.rank + 1)
 
 
-def _grid_monos(v, bound):
-    """(a, X^a) over the grid; built directly, a grid point needs no checks."""
-    one = scalars.ONE
-    return [(a, PolyElement(v, {a: one})) for a in grid(v, bound)]
-
-
-def _tcal_maps(v):
-    """The tcal maps of one suite call: tmaps(i, e, kind), each bound once.
+def _tcal_rules(v):
+    """The tcal rules of one suite call: trules(i, e, kind), each bound once.
 
     At the pinned index _tcal_point does not read kind, so the two kinds
-    there share the map bound first for (i, e).
+    there share the rule bound first for (i, e).
     """
-    maps = {}
+    rules = {}
 
-    def tmaps(i, e, kind):
+    def trules(i, e, kind):
         key = (i, e, None if v.pinned(i) else kind)
-        t = maps.get(key)
+        t = rules.get(key)
         if t is None:
-            t = maps[key] = tcal_map(v, i, e, kind)
+            t = rules[key] = tcal_rule(v, i, e, kind)
         return t
 
-    return tmaps
+    return trules
 
 
-def _intertwine_checks(v, e, tmaps, monos, lefts, check):
+def _intertwine_checks(v, e, trules, bound, lefts, check):
     """tcal(left(X^a)) against right(tcal(X^a)), one record per (kind, i).
 
-    tmaps(i, e, kind) gives the suite call's tcal map; lefts lists
+    trules(i, e, kind) gives the suite call's tcal rule; lefts lists
     (tag, rule) sides, each a rule on terms like letter_rule; check(kind,
     i) gives the id, the description and the rights, a Weyl element per
     side, of the check at (kind, i).  A check's instances run side by side,
-    point by point, each tagged (tag, a).  Checks whose tcal map is one
-    object and whose rights compare equal form one group, which runs once
-    and writes its record under each member's id and description.  The
-    groups run in lockstep: left(X^a) is taken once per side and point and
-    compared by every group still alive, and a group leaves at its first
-    mismatch, so each check keeps the record it would have on its own.
-    Each group keeps the terms of the tcal image of every grid monomial and
-    applies its rights' rules to them; only a failing instance's right side
-    becomes a polynomial.
+    point by point over the grid of the given bound, each tagged (tag, a).
+    Checks whose tcal rule is one object and whose rights compare equal
+    form one group, which runs once and writes its record under each
+    member's id and description.  The groups run in lockstep: left(X^a) is
+    taken once per side and point and compared by every group still alive,
+    and a group leaves at its first mismatch, so each check keeps the
+    record it would have on its own.  Each group keeps the terms of the
+    tcal image of every grid monomial and applies its rights' rules to
+    them; every side stays a dict of terms, and only a failing instance's
+    two sides become polynomials.
     """
+    points = [(a, {a: scalars.ONE}) for a in grid(v, bound)]
     heads, groups = [], []
     for kind in TCAL_KINDS:
         for i in v.braid_indices:
             cid, text, rights = check(kind, i)
-            t = tmaps(i, e, kind)
+            t = trules(i, e, kind)
             for members, gt, grights in groups:
                 if gt is t and grights == rights:
                     members.append(len(heads))
@@ -343,22 +326,22 @@ def _intertwine_checks(v, e, tmaps, monos, lefts, check):
                 groups.append(([len(heads)], t, rights))
             heads.append((cid, text))
     live = [
-        (members, t, [t(m).terms for _, m in monos], [action_rule(v, r) for r in rs])
+        (members, t, [t(x) for _, x in points], [action_rule(v, r) for r in rs])
         for members, t, rs in groups
     ]
     records = [None] * len(heads)
     n = 0
     for s, (tag, left) in enumerate(lefts):
-        for j, (a, m) in enumerate(monos):
+        for j, (a, x) in enumerate(points):
             if not live:
                 break
             n += 1
-            lm = PolyElement(v, left(m.terms))
+            lx = left(x)
             failed = False
-            for members, t, tms, rights in live:
-                lhs, rhs = t(lm), rights[s](tms[j])
-                if lhs.terms != rhs:
-                    bad = ((tag, a), lhs, PolyElement(v, rhs))
+            for members, t, txs, rights in live:
+                lhs, rhs = t(lx), rights[s](txs[j])
+                if lhs != rhs:
+                    bad = ((tag, a), PolyElement(v, lhs), PolyElement(v, rhs))
                     for k in members:
                         records[k] = aggregate_record(*heads[k], n, bad)
                     failed = True
@@ -374,9 +357,9 @@ def check_module_homomorphism(v, bound):
     """Letter-by-letter action agrees with acting by the normal form."""
     rng = random.Random("module-homomorphism/%s/%d/%d" % (v.kind, v.rank, bound))
     letters = generator_letters(v)
-    points = [((None, a), m) for a, m in _grid_monos(v, bound)]
+    points = [((None, a), PolyElement(v, {a: scalars.ONE})) for a in grid(v, bound)]
     checks = []
-    unit = action(v, WeylElement.unit(v))
+    unit = _on_polys(v, action_rule(v, WeylElement.unit(v)))
     checks.append(
         aggregate_check(
             "module-homomorphism/unit",
@@ -386,7 +369,7 @@ def check_module_homomorphism(v, bound):
     )
     for w in range(10):
         word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
-        elem = action(v, reduce_word(v, word))
+        elem = _on_polys(v, action_rule(v, reduce_word(v, word)))
         checks.append(
             aggregate_check(
                 "module-homomorphism/word/%02d" % w,
@@ -400,8 +383,8 @@ def check_module_homomorphism(v, bound):
         ww = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
         eu = reduce_word(v, wu)
         ew = reduce_word(v, ww)
-        prod = action(v, eu * ew)
-        eu, ew = action(v, eu), action(v, ew)
+        prod = _on_polys(v, action_rule(v, eu * ew))
+        eu, ew = _on_polys(v, action_rule(v, eu)), _on_polys(v, action_rule(v, ew))
         checks.append(
             aggregate_check(
                 "module-homomorphism/assoc/%02d" % t,
@@ -429,12 +412,11 @@ _TCAL_TEXT = {
 
 def check_tcal_suite(v, e, bound):
     """Intertwining with the algebra braid action, inverses, braid moves."""
-    monos = _grid_monos(v, bound)
     letters = generator_letters(v)
-    # one tcal map per (i, e, kind), per (i, e) at the pinned index, serves
-    # every check of the call, so each map's memo evaluates a point once for
+    # one tcal rule per (i, e, kind), per (i, e) at the pinned index, serves
+    # every check of the call, so each rule's memo evaluates a point once for
     # the intertwine and relation checks
-    tmaps = _tcal_maps(v)
+    trules = _tcal_rules(v)
     # letter by letter on the tcal side: the independent reference
     lefts = [(letter_tag(l), letter_rule(v, *l)) for l in letters]
 
@@ -447,19 +429,19 @@ def check_tcal_suite(v, e, bound):
             [t_op.images[l] for l in letters],
         )
 
-    checks = _intertwine_checks(v, e, tmaps, monos, lefts, intertwine)
+    checks = _intertwine_checks(v, e, trules, bound, lefts, intertwine)
 
     def compose(word):
-        maps = [tmaps(*t) for t in reversed(word)]
+        rules = [trules(*t) for t in reversed(word)]
 
-        def at(poly):
-            for t in maps:
-                poly = t(poly)
-            return poly
+        def at(terms):
+            for t in rules:
+                terms = t(terms)
+            return PolyElement(v, terms)
 
         return at
 
-    points = [((None, a), m) for a, m in monos]
+    points = [((None, a), {a: scalars.ONE}) for a in grid(v, bound)]
     checks.extend(
         braid_relation_checks(
             v, e, compose, points, ("tcal/inverse/", "tcal/braid/"), _TCAL_TEXT
@@ -483,4 +465,4 @@ def check_iu_module(v, e, bound):
             [ph_s.image(u) for u in letters],
         )
 
-    return _intertwine_checks(v, e, _tcal_maps(v), _grid_monos(v, bound), lefts, moved)
+    return _intertwine_checks(v, e, _tcal_rules(v), bound, lefts, moved)

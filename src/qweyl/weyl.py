@@ -22,9 +22,10 @@ from .scalars import P_ONE, laurent_times, p_mul, p_neg, p_trim, p_val, qpow
 
 WEYL_LETTER_NAMES = ("d", "x", "m", "mi")
 
-# Most x and d letters reduce_word takes at one index: reducing n of them
-# takes time about n^4 (d1^160 x1^160 several seconds), so a longer word is
-# refused before any index is reduced.
+# Most x and d letters one index may have, in a word reduce_word takes or in
+# a product of two monomials: reducing n of them takes time about n^4
+# (d1^160 x1^160 several seconds), so a longer word or product is refused
+# before it is reduced.
 MAX_INDEX_LETTERS = 200
 
 # 1/(q - q^-1)
@@ -151,7 +152,17 @@ def _index_state(k, rule, t, names):
 # the same few triples over and over.
 @functools.lru_cache(maxsize=1 << 16)
 def _index_product(k, t1, t2):
-    """The (triple, scalar) pairs of t1 times t2 at an index of weight k."""
+    """The (triple, scalar) pairs of t1 times t2 at an index of weight k.
+
+    Raises ValueError when t1 and t2 together have more than
+    MAX_INDEX_LETTERS x and d letters, as reduce_word does for their word.
+    """
+    letters = t1[0] + t1[1] + t2[0] + t2[1]
+    if letters > MAX_INDEX_LETTERS:
+        raise ValueError(
+            "product has %d x and d letters at one index, above the limit of %d"
+            % (letters, MAX_INDEX_LETTERS)
+        )
     a, b, n, terms = _index_state(k, _append_right, t1, _triple_word(t2))
     qd = _QD ** n
     pairs = []

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qweyl import cli, operators, parser
+from qweyl import cli, operators, weyl
 from qweyl.cli import main
 from qweyl.weyl import EndoSpec
 
@@ -249,13 +249,33 @@ def test_hostile_long_word_is_rejected_before_reduction(capsys):
     assert rc == 2 and "index 1" in err and "limit of 200" in err
     assert time.perf_counter() - t0 < 0.5
     # m letters do not count, and the limit is per index
-    n = parser.MAX_INDEX_LETTERS
+    n = weyl.MAX_INDEX_LETTERS
     expr = "x1^%d m1^500 d2^%d" % (n, n)
     rc, out, _ = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
     assert rc == 0 and out == expr + "\n"
     expr = "x1 d2^150 x2^%d" % (n - 149)
     rc, _, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
     assert rc == 2 and "%d x and d letters at index 2" % (n + 1) in err
+
+
+def test_hostile_product_is_rejected_before_multiplication(capsys):
+    # each factor is a word within the limit, but their product has 400 x
+    # and d letters at index 1; the index product refuses it at once
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, ["normalize", "x1^200 * (d1^200)", "--variant", "jmath", "--rank", "1"])
+    assert rc == 2 and "400 x and d letters" in err and "limit of 200" in err
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_product_limit_matches_the_word_limit(capsys):
+    # a product is refused exactly when its concatenated word would be
+    n = weyl.MAX_INDEX_LETTERS
+    for a, rc_want in ((n - 150, 0), (n - 149, 2)):
+        for expr in ("x1^150 * (x1^%d)" % a, "x1^150 x1^%d" % a):
+            rc, out, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+            assert rc == rc_want, (expr, err)
+            assert rc == 2 or out == "x1^%d\n" % (150 + a)
+            assert rc == 0 or "limit of %d" % n in err
 
 
 def test_mutation_fails_verify(capsys, monkeypatch):

@@ -164,6 +164,7 @@ def _rand_poly(rng, v, bound):
 
 
 def test_bound_action_matches_act():
+    # action_rule, bound once per element, equals act and the letter words
     rng = random.Random(31)
     for v in (J1, J2, I1, I2):
         letters = generator_letters(v)
@@ -172,30 +173,15 @@ def test_bound_action_matches_act():
             other = (rng.choice(letters),)
             coeff = qpow(rng.randint(-1, 1))
             elem = reduce_word(v, word) + reduce_word(v, other, coeff)
-            bound = polymod.action(v, elem)
+            rule = polymod.action_rule(v, elem)
             for _ in range(4):
                 f = _rand_poly(rng, v, 3)
                 want = act_word(v, word, f) + act_word(v, other, f).scale(coeff)
-                assert bound(f) == act(v, elem, f) == want
-
-
-def test_bound_action_checks_the_element_once_and_each_polynomial():
-    twin = Variant("jmath", 1)
-    with pytest.raises(ValueError, match="variant mismatch"):
-        polymod.action(J1, reduce_word(I1, (("x", 1),)))
-    bound = polymod.action(J1, reduce_word(twin, (("x", 1),)))
-    assert bound(mono(twin, (1, 2))) == mono(J1, (2, 2))
-    with pytest.raises(ValueError, match="variant mismatch"):
-        bound(mono(I1, (1, 2)))
-    x = reduce_word(J1, (("x", 1),))
-    zero = polymod.action(J1, x - x)
-    assert zero(mono(J1, (1, 2))).is_zero
-    with pytest.raises(ValueError, match="variant mismatch"):
-        zero(mono(I1, (1, 2)))
+                assert rule(f.terms) == act(v, elem, f).terms == want.terms
 
 
 def test_bound_maps_validate_when_bound():
-    # no polynomial is needed to reach the argument checks
+    # each rule checks its arguments when it is bound: no terms are needed
     for args, match in (
         ((1, 1, "half"), "unknown kind"),
         ((1, 2, "prime"), "e must be"),
@@ -203,42 +189,33 @@ def test_bound_maps_validate_when_bound():
         ((3, 1, "prime"), "braid index out of range"),
     ):
         with pytest.raises(ValueError, match=match):
-            polymod.tcal_map(J2, *args)
+            polymod.tcal_rule(J2, *args)
     for args, match in (
         (("y", 1), "unknown generator"),
         (("x", 0), "index out of range"),
         (("d", J2.rank + 2), "index out of range"),
     ):
         with pytest.raises(ValueError, match=match):
-            polymod.letter_action(J2, *args)
-
-
-def test_bound_maps_check_each_polynomial():
-    twin = Variant("jmath", 1)
-    f = mono(twin, (1, 2))
-    assert polymod.tcal_map(J1, 1, 1, "prime")(f) == tcal(J1, 1, 1, "prime", f)
-    assert polymod.letter_action(J1, "x", 1)(f) == mono(J1, (2, 2))
-    g = mono(I1, (1, 2))
-    for bound in (
-        polymod.tcal_map(J1, 1, 1, "prime"),
-        polymod.tcal_map(J1, 1, -1, "doubleprime"),
-    ) + tuple(polymod.letter_action(J1, *l) for l in generator_letters(J1)):
-        with pytest.raises(ValueError, match="variant mismatch"):
-            bound(g)
+            polymod.letter_rule(J2, *args)
+    with pytest.raises(ValueError, match="variant mismatch"):
+        polymod.action_rule(J1, reduce_word(I1, (("x", 1),)))
+    twin = Variant("jmath", 1)  # equal to J1, another object
+    rule = polymod.action_rule(J1, reduce_word(twin, (("x", 1),)))
+    assert rule({(1, 2): scalars.ONE}) == {(2, 2): scalars.ONE}
 
 
 def test_letter_action_matches_the_generator_action():
     rng = random.Random(47)
     for v in (J1, J2, I1, I2):
         for l in generator_letters(v):
-            bound = polymod.letter_action(v, *l)
-            gen = polymod.action(v, WeylElement.generator(v, *l))
+            rule = polymod.letter_rule(v, *l)
+            gen = polymod.action_rule(v, WeylElement.generator(v, *l))
             for _ in range(6):
                 f = _rand_poly(rng, v, 3)
-                assert bound(f) == gen(f) == act_letter(v, *l, f)
+                assert rule(f.terms) == gen(f.terms) == act_letter(v, *l, f).terms
 
 
-def test_rules_on_terms_match_their_maps_and_act_word():
+def test_rules_on_terms_match_their_one_shots_and_act_word():
     rng = random.Random(59)
     for v in (J1, J2, I1, I2):
         letters = generator_letters(v)
@@ -249,10 +226,17 @@ def test_rules_on_terms_match_their_maps_and_act_word():
             points = rng.sample(list(grid(v, 3)), rng.randint(3, 5))
             polys.append(PolyElement(v, {a: rng.choice(_COEFFS) for a in points}))
         for l in letters:
-            rule, bound = polymod.letter_rule(v, *l), polymod.letter_action(v, *l)
+            rule = polymod.letter_rule(v, *l)
             for f in polys:
                 got = rule(f.terms)
-                assert got == bound(f).terms == act_word(v, (l,), f).terms, l
+                assert got == act_letter(v, *l, f).terms == act_word(v, (l,), f).terms, l
+        for kind in polymod.TCAL_KINDS:
+            for i in v.braid_indices:
+                for e in (1, -1):
+                    rule = polymod.tcal_rule(v, i, e, kind)
+                    for f in polys:
+                        want = _ref_tcal(v, i, e, kind, f).terms
+                        assert rule(f.terms) == tcal(v, i, e, kind, f).terms == want
         # (m_p - m_p^-1)/(q - q^-1) plus a word: the m terms cancel on X^a
         # with a_p = 0, where the word adds nothing
         for _ in range(6):
@@ -260,36 +244,45 @@ def test_rules_on_terms_match_their_maps_and_act_word():
             word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
             cancel = reduce_word(v, (("m", p),)) - reduce_word(v, (("mi", p),))
             elem = cancel.scale(_QD.inv()) + reduce_word(v, word)
-            rule, bound = polymod.action_rule(v, elem), polymod.action(v, elem)
+            rule = polymod.action_rule(v, elem)
             one = PolyElement.unit(v)
             for f in polys + [one]:
                 got = rule(f.terms)
                 want = act_word(v, (("m", p),), f) - act_word(v, (("mi", p),), f)
                 want = want.scale(_QD.inv()) + act_word(v, word, f)
-                assert got == bound(f).terms == want.terms, (p, word)
+                assert got == act(v, elem, f).terms == want.terms, (p, word)
             assert rule(one.terms) == act_word(v, word, one).terms
 
 
 def test_public_maps_check_each_polynomial_variant():
+    # the one-shots accept an equal variant object and refuse another variant
     twin = Variant("jmath", 2)  # equal to J2, another object
     f, g = mono(twin, (1, 2, 1)), mono(I2, (1, 2, 1))
-    elem = reduce_word(J2, (("x", 1), ("d", 2)))
-    maps = [polymod.action(J2, elem)] + [
-        polymod.letter_action(J2, *l) for l in generator_letters(J2)
+    x = reduce_word(J2, (("x", 1),))
+    one_shots = [
+        lambda p, elem=elem: act(J2, elem, p)
+        for elem in (reduce_word(J2, (("x", 1), ("d", 2))), x - x)
     ]
-    for bound in maps:
-        assert bound(f) == bound(mono(J2, (1, 2, 1)))
-        assert bound(f).variant is J2
+    one_shots += [
+        lambda p, l=l: act_letter(J2, *l, p) for l in generator_letters(J2)
+    ]
+    one_shots += [
+        lambda p, t=t: tcal(J2, *t, p)
+        for t in ((1, 1, "prime"), (1, -1, "doubleprime"), (2, 1, "prime"))
+    ]
+    for apply in one_shots:
+        assert apply(f) == apply(mono(J2, (1, 2, 1)))
+        assert apply(f).variant is J2
         with pytest.raises(ValueError, match="variant mismatch"):
-            bound(g)
+            apply(g)
         with pytest.raises(ValueError, match="variant mismatch"):
-            bound(PolyElement(I2, {}))
+            apply(PolyElement(I2, {}))
 
 
-def test_tcal_map_evaluates_each_exponent_vector_once(monkeypatch):
+def test_tcal_rule_evaluates_each_exponent_vector_once(monkeypatch):
     rng = random.Random(53)
     polys = [_rand_poly(rng, J2, 2) for _ in range(20)]
-    want = [tcal(J2, 1, 1, "prime", f) for f in polys]
+    want = [tcal(J2, 1, 1, "prime", f).terms for f in polys]
     seen = []
     real_point = polymod._tcal_point
 
@@ -298,8 +291,8 @@ def test_tcal_map_evaluates_each_exponent_vector_once(monkeypatch):
         return real_point(v, i, e, kind, a)
 
     monkeypatch.setattr(polymod, "_tcal_point", counted)
-    bound = polymod.tcal_map(J2, 1, 1, "prime")
-    assert [bound(f) for f in polys] == want
+    rule = polymod.tcal_rule(J2, 1, 1, "prime")
+    assert [rule(f.terms) for f in polys] == want
     vectors = {a for f in polys for a in f.terms}
     assert sum(len(f.terms) for f in polys) > len(vectors)
     assert sorted(seen) == sorted(vectors)
@@ -418,9 +411,9 @@ def test_variant_checks_survive_identity_short_circuit():
 
 
 def _counting(monkeypatch, mod, factory, calls, key=lambda *args: None, binds=None):
-    """Replace mod.factory by one whose bound maps count their applications.
+    """Replace mod.factory by one whose bound rules count their applications.
 
-    calls[key(*args)] counts the applications of the maps bound with args;
+    calls[key(*args)] counts the applications of the rules bound with args;
     binds, if given, collects the args of every bind.
     """
     real = getattr(mod, factory)
@@ -443,7 +436,7 @@ def _counting(monkeypatch, mod, factory, calls, key=lambda *args: None, binds=No
 
 def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
     calls, binds = {}, []
-    _counting(monkeypatch, polymod, "tcal_map", calls, binds=binds)
+    _counting(monkeypatch, polymod, "tcal_rule", calls, binds=binds)
     per_relation = {}
 
     def attributing(cid, description, instances):
@@ -458,17 +451,17 @@ def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
     points = (bound + 1) ** (v.rank + 1)
     checks = polymod.check_tcal_suite(v, 1, bound)
     assert all(c.status in (PASS, SKIP) for c in checks)
-    # one tcal map per (i, e, kind) serves the whole suite call: the
+    # one tcal rule per (i, e, kind) serves the whole suite call: the
     # intertwine checks at e = 1 and the relation checks, whose inverse
     # pairs also take the doubleprime operators at e = -1; at the pinned
-    # index the intertwine checks of both kinds share the prime map
+    # index the intertwine checks of both kinds share the prime rule
     ops = ((1, "prime"), (1, "doubleprime"), (-1, "doubleprime"))
     want = [(v, i, e, kind) for i in v.braid_indices for e, kind in ops]
     want.remove((v, v.bmax, 1, "doubleprime"))
     assert sorted(binds) == sorted(want)
     # per intertwine evaluator: tcal after each (letter, point), and one tcal
     # image per point that every letter reuses; the two pinned checks, with
-    # one map and equal rights, share one evaluator, so the 4 checks take 3.
+    # one rule and equal rights, share one evaluator, so the 4 checks take 3.
     # The rest of the suite call is the relation checks, each applying every
     # operator of a word
     n_letters = len(generator_letters(v))
@@ -491,7 +484,7 @@ def test_module_suites_take_one_tcal_image_per_grid_point(monkeypatch):
 
 
 def test_pinned_checks_share_only_equal_right_sides(monkeypatch):
-    # the two kinds at the pinned index share one tcal map; a change to the
+    # the two kinds at the pinned index share one tcal rule; a change to the
     # prime side alone must fail the prime check and leave the doubleprime
     # check passing, so checks share an evaluator only on equal right sides
     from qweyl import operators
@@ -531,7 +524,7 @@ def test_pinned_checks_share_only_equal_right_sides(monkeypatch):
 
 
 def test_tcal_suite_evaluates_each_point_once_per_call(monkeypatch):
-    # the intertwine and relation checks of a suite call share one tcal map
+    # the intertwine and relation checks of a suite call share one tcal rule
     # per (i, e, kind), so each (i, e, kind, a) is evaluated once per call
     seen = []
     real_point = polymod._tcal_point
@@ -616,15 +609,14 @@ def test_lockstep_checks_keep_their_check_major_records(monkeypatch):
     for kind in satake.BRAID_KINDS:
         for i in v.braid_indices:
             cid = "tcal/intertwine/%s/i=%d" % (kind, i)
-            t = polymod.tcal_map(v, i, e, kind)
             images = operators.braid_op(v, i, e, kind).images
             instances = (
                 inst
                 for l in letters
                 for inst in report.pointwise(
                     [((letter_tag(l), a), m) for a, m in monos],
-                    lambda m, left=polymod.letter_action(v, *l): t(left(m)),
-                    lambda m, right=polymod.action(v, images[l]): right(t(m)),
+                    lambda m, l=l: tcal(v, i, e, kind, act_letter(v, *l, m)),
+                    lambda m, l=l: act(v, images[l], tcal(v, i, e, kind, m)),
                 )
             )
             ref = report.aggregate_check(cid, records[cid].description, instances)
@@ -656,16 +648,15 @@ def test_action_matches_letter_by_letter_on_scaled_grids():
     for w, c in words[1:]:
         elem = elem + reduce_word(J2, w, c)
     assert len(elem.terms) == len(words)
-    bound = polymod.action(J2, elem)
     for a in grid(J2, 3):
         f = mono(J2, a, qpow(a[0] - a[2]) * 7)
         want = act_word(J2, words[0][0], f).scale(words[0][1])
         for w, c in words[1:]:
             want = want + act_word(J2, w, f).scale(c)
-        assert bound(f) == want
-    dd = polymod.action(J2, reduce_word(J2, words[0][0]))
-    assert dd(mono(J2, (1, 0, 1))).is_zero
-    assert dd(mono(J2, (1, 0, 2))) == mono(J2, (1, 0, 0), qint(4) * qint(2))
+        assert act(J2, elem, f) == want
+    dd = reduce_word(J2, words[0][0])
+    assert act(J2, dd, mono(J2, (1, 0, 1))).is_zero
+    assert act(J2, dd, mono(J2, (1, 0, 2))) == mono(J2, (1, 0, 0), qint(4) * qint(2))
 
 
 def _ref_action(v, elem, poly):
@@ -721,17 +712,18 @@ def test_module_maps_match_plain_scalar_arithmetic():
             PolyElement(v, {a: _COEFFS[j % n] for j, a in enumerate(points)}),
         ]
         for l in generator_letters(v):
-            bound_letter = polymod.letter_action(v, *l)
+            rule = polymod.letter_rule(v, *l)
             gen = WeylElement.generator(v, *l)
             for f in polys:
-                assert bound_letter(f) == _ref_action(v, gen, f), l
+                assert rule(f.terms) == _ref_action(v, gen, f).terms, l
         for kind in polymod.TCAL_KINDS:
             for i in v.braid_indices:
                 for e in (1, -1):
-                    t = polymod.tcal_map(v, i, e, kind)
-                    # the second pass answers from the map's memo
+                    t = polymod.tcal_rule(v, i, e, kind)
+                    # the second pass answers from the rule's memo
                     for f in polys + polys:
-                        assert t(f) == _ref_tcal(v, i, e, kind, f), (kind, i, e)
+                        want = _ref_tcal(v, i, e, kind, f).terms
+                        assert t(f.terms) == want, (kind, i, e)
         r = v.rank + 1
         k = v.kappa(r)
         elems = [
@@ -742,33 +734,33 @@ def test_module_maps_match_plain_scalar_arithmetic():
             + reduce_word(v, (("x", r),), _COEFFS[7]),
         ]
         for elem in elems:
-            act_elem = polymod.action(v, elem)
+            rule = polymod.action_rule(v, elem)
             for f in polys:
-                assert act_elem(f) == _ref_action(v, elem, f)
+                assert rule(f.terms) == _ref_action(v, elem, f).terms
         # d^2 at the last index, of weight 2 for jmath: [2k][k] X^(..., 0)
-        dd = polymod.action(v, elems[0])
-        assert dd(mono(v, (0,) * (r - 1) + (2,))) == mono(
-            v, (0,) * r, qint(2 * k) * qint(k)
-        )
+        dd = polymod.action_rule(v, elems[0])
+        assert dd({(0,) * (r - 1) + (2,): scalars.ONE}) == {
+            (0,) * r: qint(2 * k) * qint(k)
+        }
         # two monomials that meet and cancel: (m_p - m_p^-1)/(q - q^-1)
         # kills X^0 and multiplies X^a by [kappa(p) a_p]
         for p in (1, r):
             elem = reduce_word(v, (("m", p),)) - reduce_word(v, (("mi", p),))
             elem = elem.scale(_QD.inv())
             assert len(elem.terms) == 2
-            cancel = polymod.action(v, elem)
-            assert cancel(PolyElement.unit(v)).is_zero
+            cancel = polymod.action_rule(v, elem)
+            assert cancel(PolyElement.unit(v).terms) == {}
             kp = v.kappa(p)
             for f in polys:
-                got = cancel(f)
-                assert got == _ref_action(v, elem, f)
+                got = cancel(f.terms)
+                assert got == _ref_action(v, elem, f).terms
                 want = {a: qint(kp * a[p - 1]) * c for a, c in f.terms.items() if a[p - 1]}
-                assert got == PolyElement(v, want)
+                assert got == want
 
 
 def test_letter_and_tcal_maps_form_no_product_on_q_power_grids(monkeypatch):
     # a weight +-q^k is an exponent shift and x moves no coefficient: on
-    # coefficients 1 and +-q^k these maps multiply no two scalars
+    # coefficients 1 and +-q^k these rules multiply no two scalars
     calls = [0]
     real_mul = scalars.QScalar.__mul__
 
@@ -783,19 +775,19 @@ def test_letter_and_tcal_maps_form_no_product_on_q_power_grids(monkeypatch):
     polys += [mono(v, a, c) for a in points[::7] for c in coeffs]
     monkeypatch.setattr(scalars.QScalar, "__mul__", counted)
     monkeypatch.setattr(scalars.QScalar, "__rmul__", counted)
-    maps = [polymod.letter_action(v, *l) for l in generator_letters(v) if l[0] != "d"]
-    maps += [
-        polymod.tcal_map(v, i, e, kind)
+    rules = [polymod.letter_rule(v, *l) for l in generator_letters(v) if l[0] != "d"]
+    rules += [
+        polymod.tcal_rule(v, i, e, kind)
         for kind in polymod.TCAL_KINDS
         for i in v.braid_indices
         for e in (1, -1)
     ]
     for f in polys:
-        for t in maps:
-            t(t(f))
+        for t in rules:
+            t(t(f.terms))
     assert calls[0] == 0
     # the counter sees products: [2] times q^2 is one
-    polymod.letter_action(v, "d", 1)(mono(v, (2, 0, 0), qpow(2)))
+    polymod.letter_rule(v, "d", 1)({(2, 0, 0): qpow(2)})
     assert calls[0] == 1
 
 

@@ -94,10 +94,10 @@ def _shift_tcal(real):
     """Both polynomial braid operators at i = 1 scaled by q."""
 
     def mutated(v, i, e, kind):
-        bound = real(v, i, e, kind)
+        rule = real(v, i, e, kind)
         if i != 1:
-            return bound
-        return lambda poly: bound(poly).scale(qpow(1))
+            return rule
+        return lambda terms: {b: c * qpow(1) for b, c in rule(terms).items()}
 
     return mutated
 
@@ -107,7 +107,7 @@ MUTATIONS = {
     "braid_op-flip": (operators, "braid_op", _flip_braid_op),
     "braid_op-shift": (operators, "braid_op", _shift_braid_op),
     "tau_subst-flip": (iqg, "tau_subst", _flip_tau_subst),
-    "tcal-shift": (polymod, "tcal_map", _shift_tcal),
+    "tcal-shift": (polymod, "tcal_rule", _shift_tcal),
 }
 
 

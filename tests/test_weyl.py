@@ -431,6 +431,25 @@ def test_index_product_matches_the_left_rule():
                     assert dict(weyl._index_product(k, t1, t2)) == expect
 
 
+def test_products_obey_the_per_index_letter_limit():
+    # a product is refused exactly when reduce_word would refuse the
+    # concatenated word: m letters do not count, and the limit is per index
+    n = weyl.MAX_INDEX_LETTERS
+    for v in (J1, I2):
+        for left, right in (
+            ((("x", 1),) * 150 + (("m", 1),) * 300, (("d", 1),) * (n - 150)),
+            ((("d", 1),) * n, (("x", 2),) * n),
+        ):
+            word = left + right
+            assert reduce_word(v, left) * reduce_word(v, right) == reduce_word(v, word)
+        left = (("x", 1),) * 150 + (("d", 2),) * 150
+        for right in ((("d", 1),) * (n - 149), (("m", 2),) * 5 + (("d", 2),) * 51):
+            with pytest.raises(ValueError, match="%d x and d letters" % (n + 1)):
+                reduce_word(v, left + right)
+            with pytest.raises(ValueError, match="%d x and d letters" % (n + 1)):
+                reduce_word(v, left) * reduce_word(v, right)
+
+
 def _rebuilt(s):
     """The scalar s rebuilt through the validating constructor."""
     if s.val >= 0:
