@@ -200,11 +200,7 @@ class FreeExpr(Terms):
             return self.scale(other)
         if not isinstance(other, FreeExpr):
             return NotImplemented
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                acc(out, w1 + w2, c1 * c2)
-        return FreeExpr(out)
+        return FreeExpr(_free_mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         return Terms.__rmul__(self, other)
@@ -214,6 +210,15 @@ class FreeExpr(Terms):
 
     def __pow__(self, k):
         return Terms.__pow__(self, k)
+
+
+def _free_mul_terms(t1, t2):
+    """The terms of the product of two free expressions, given their terms."""
+    out = {}
+    for w1, c1 in t1.items():
+        for w2, c2 in t2.items():
+            acc(out, w1 + w2, c1 * c2)
+    return out
 
 
 def letter_tag(letter):

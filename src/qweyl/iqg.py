@@ -12,7 +12,7 @@ table, which keeps the work linear in the composite length.
 import functools
 
 from . import operators
-from .expressions import FreeExpr, letter_tag, qcomm
+from .expressions import FreeExpr, _free_mul_terms, letter_tag, qcomm
 from .report import aggregate_check, equality_check, pointwise, skipped_check
 from .satake import BRAID_KINDS, KIND_MARKS, braid_relation_checks, cartan
 from .scalars import qpow
@@ -93,12 +93,18 @@ def phi(v, expr):
 
 
 class ISubst(EndoSpec):
-    """A substitution on B/K letters with free-expression images."""
+    """A substitution on B/K letters with free-expression images.
+
+    It shares EndoSpec's word walk and term collection, with the free
+    algebra's unit and product rule on term dicts.
+    """
 
     __slots__ = ()
 
     def _unit(self, coeff):
-        return FreeExpr.from_scalar(coeff)
+        return FreeExpr.from_scalar(coeff).terms
+
+    _mul = staticmethod(_free_mul_terms)
 
     def apply(self, expr):
         """Free composition: substitute every letter, reverse words if anti."""

@@ -146,7 +146,7 @@ def _index_state(k, rule, t, names):
     return state
 
 
-# Distinct indices commute, so WeylElement.__mul__ multiplies canonical
+# Distinct indices commute, so _mul_terms multiplies canonical
 # monomials one index at a time.  The products are filled from _append_right,
 # so the rewrite rules stay written once, and memoised: the suites multiply
 # the same few triples over and over.
@@ -172,6 +172,36 @@ def _index_product(k, t1, t2):
         # product loop skips by identity
         pairs.append(((a, b, c), scalars.ONE if s == 1 else s))
     return tuple(pairs)
+
+
+def _mul_terms(v, terms1, terms2):
+    """The terms of the product of two elements of variant v, given their terms."""
+    one = scalars.ONE
+    out = {}
+    for mono2, c2 in terms2.items():
+        support = [(p, v.kappa(p + 1), t) for p, t in enumerate(mono2) if t != (0, 0, 0)]
+        for mono1, c1 in terms1.items():
+            c = c1 if c2 is one else c2 if c1 is one else c1 * c2
+            # partial products over the indices done so far; usually one
+            partial = [(list(mono1), c)]
+            for p, k, t2 in support:
+                t1 = mono1[p]
+                pairs = _index_product(k, t1, t2)
+                if len(pairs) == 1:
+                    ((t, s),) = pairs
+                    for m, _ in partial:
+                        m[p] = t
+                    if s is not one:
+                        partial = [(m, c * s) for m, c in partial]
+                else:
+                    partial = [
+                        (m[:p] + [t] + m[p + 1 :], c if s is one else c * s)
+                        for m, c in partial
+                        for t, s in pairs
+                    ]
+            for m, c in partial:
+                acc(out, tuple(m), c)
+    return out
 
 
 def _triple_word(t):
@@ -247,32 +277,7 @@ class WeylElement(Terms):
             return NotImplemented
         v = self.variant
         v.check_variant(other.variant)
-        one = scalars.ONE
-        out = {}
-        for mono2, c2 in other.terms.items():
-            support = [(p, v.kappa(p + 1), t) for p, t in enumerate(mono2) if t != (0, 0, 0)]
-            for mono1, c1 in self.terms.items():
-                c = c1 if c2 is one else c2 if c1 is one else c1 * c2
-                # partial products over the indices done so far; usually one
-                partial = [(list(mono1), c)]
-                for p, k, t2 in support:
-                    t1 = mono1[p]
-                    pairs = _index_product(k, t1, t2)
-                    if len(pairs) == 1:
-                        ((t, s),) = pairs
-                        for m, _ in partial:
-                            m[p] = t
-                        if s is not one:
-                            partial = [(m, c * s) for m, c in partial]
-                    else:
-                        partial = [
-                            (m[:p] + [t] + m[p + 1 :], c if s is one else c * s)
-                            for m, c in partial
-                            for t, s in pairs
-                        ]
-                for m, c in partial:
-                    acc(out, tuple(m), c)
-        return WeylElement(v, out)
+        return WeylElement(v, _mul_terms(v, self.terms, other.terms))
 
     def __rmul__(self, other):
         return Terms.__rmul__(self, other)
@@ -354,9 +359,11 @@ class EndoSpec:
 
     direction "antimultiplicative" reverses each word before multiplying the
     images; coeff_twist "bar" sends every coefficient through q -> q^-1.
-    The word walk and the term collection serve any image algebra whose
-    elements have terms, scale and *; a subclass with other images
-    overrides _unit (iqg.ISubst maps into free expressions).
+    The word walk and the term collection work on term dicts: a word's image
+    starts from its first letter image's terms, scaled by the coefficient,
+    and multiplies in each later letter image's terms through _mul, the
+    image type's product rule.  A subclass with other images overrides
+    _unit and _mul (iqg.ISubst maps into free expressions).
     """
 
     __slots__ = ("variant", "images", "antimultiplicative", "bar_twist", "label")
@@ -375,28 +382,49 @@ class EndoSpec:
         return img
 
     def _unit(self, coeff):
-        """The image of the empty word with coefficient coeff."""
-        return WeylElement.unit(self.variant, coeff)
+        """The terms of the image of the empty word with coefficient coeff."""
+        return WeylElement.unit(self.variant, coeff).terms
+
+    def _mul(self, terms1, terms2):
+        """The terms of the product of two images, given their terms."""
+        return _mul_terms(self.variant, terms1, terms2)
 
     def _word_image(self, word, coeff):
+        """The terms of the image of coeff * word; may be a letter image's own."""
         if self.bar_twist:
             coeff = coeff.bar()
         if not word:
             return self._unit(coeff)
+        images = self.images
         # start from the first image: a unit left factor costs a product per word
         seq = iter(reversed(word) if self.antimultiplicative else word)
-        img = self.image(next(seq))
-        if coeff is not scalars.ONE:
-            img = img.scale(coeff)
+        letter = next(seq)
+        img = images.get(letter)
+        if img is None:
+            self.image(letter)
+        terms = img.terms
+        one = scalars.ONE
+        if coeff is not one:
+            # as Terms.scale: a unit coefficient takes coeff
+            terms = {k: coeff if c is one else c * coeff for k, c in terms.items()}
+        mul = self._mul
         for letter in seq:
-            img = img * self.image(letter)
-        return img
+            img = images.get(letter)
+            if img is None:
+                self.image(letter)
+            terms = mul(terms, img.terms)
+        return terms
 
     def _collect(self, pairs):
         """The terms of the sum of the images of (word, coeff) pairs."""
-        out = {}
+        pairs = iter(pairs)
+        first = next(pairs, None)
+        if first is None:
+            return {}
+        # a copy: the first image may be a letter image's own terms
+        out = dict(self._word_image(*first))
         for word, coeff in pairs:
-            for key, c in self._word_image(word, coeff).terms.items():
+            for key, c in self._word_image(word, coeff).items():
                 acc(out, key, c)
         return out
 

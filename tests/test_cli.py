@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qweyl import cli, operators, weyl
+from qweyl import cli, operators, parser, weyl
 from qweyl.cli import main
 from qweyl.weyl import EndoSpec
 
@@ -276,6 +276,32 @@ def test_product_limit_matches_the_word_limit(capsys):
             assert rc == rc_want, (expr, err)
             assert rc == 2 or out == "x1^%d\n" % (150 + a)
             assert rc == 0 or "limit of %d" % n in err
+
+
+def test_hostile_power_is_rejected_before_expansion(capsys):
+    # every product inside it is within the letter limit, but its expansion
+    # has 4^20 words; the parser refuses the power before forming it
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, ["normalize", "(x1 + d1 + x2 + d2)^20", "--variant", "jmath", "--rank", "1"])
+    assert rc == 2 and out == ""
+    assert "4^20 terms" in err and "limit of %d" % parser.MAX_POWER_TERMS in err
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_power_limit_boundary(capsys):
+    # a power is refused exactly when n^k, n its base's terms, is above the
+    # limit; scalars, powers 0 and 1 and one-term bases are never refused
+    n = parser.MAX_POWER_TERMS
+    k = n.bit_length() - 1
+    assert 2**k == n
+    for expr, rc_want in (("(x1 + x2)^%d" % k, 0), ("(x1 + x2)^%d" % (k + 1), 2)):
+        rc, out, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+        assert rc == rc_want, (expr, err)
+        assert rc == 2 or len(out.split(" + ")) == k + 1
+        assert rc == 0 or "2^%d terms, above the limit of %d" % (k + 1, n) in err
+    for expr in ("(q + 1)^200", "(x1 + d1)^0", "(x1 + d1)^1", "(m1 q^2)^200", "(x1 + d1 + x2 + d2)^8"):
+        rc, _, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+        assert rc == 0, (expr, err)
 
 
 def test_mutation_fails_verify(capsys, monkeypatch):

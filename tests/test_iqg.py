@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -336,3 +337,50 @@ def test_substitutions_carry_constant_terms():
     const = FreeExpr.from_scalar(qpow(3) + scalars.ONE)
     assert iqg.tau_subst(v, 1, 1, "prime").apply(const) == const
     assert iqg.tau_subst(v, 1, 1, "prime").apply(FreeExpr.zero()) == FreeExpr.zero()
+
+
+def test_substitution_outputs_share_no_terms_with_letter_images():
+    # a one-letter word with coefficient 1 maps to its letter image's terms;
+    # the output must hold a copy, or mutating it would rewrite the table
+    v = J2
+    cases = (
+        (iqg.phi_spec(v), B(1)),
+        (operators.braid_op(v, 1, 1, "prime"), FreeExpr.letter("x", 2)),
+        (iqg.tau_subst(v, 1, 1, "prime"), B(1)),
+        (iqg.omega_subst(v), K(1)),
+    )
+    for spec, expr in cases:
+        (((letter,), _),) = expr.terms.items()
+        before = {l: dict(img.terms) for l, img in spec.images.items()}
+        out = spec.apply_free(expr)
+        assert out == spec.image(letter), spec.label
+        for key in list(out.terms):
+            out.terms[key] = qpow(7)
+        out.terms[("extra",)] = scalars.ONE
+        assert {l: img.terms for l, img in spec.images.items()} == before, spec.label
+
+
+def test_isubst_word_images_start_from_the_scaled_first_image():
+    # as for EndoSpec: a word maps to coeff (bar-twisted if asked) times the
+    # product of its letter images, reversed if antimultiplicative
+    rng = random.Random(1618)
+    qd = scalars.QScalar((0, 1), (-1, 0, 1))
+    for v in (J2, I2):
+        letters = iqg.iqg_letters(v)
+        i, j = v.braid_indices[0], v.braid_indices[-1]
+        specs = (
+            iqg.omega_subst(v),
+            iqg.psi_subst(v),
+            iqg.tau_subst(v, i, 1, "prime"),
+            iqg.tau_subst(v, j, -1, "doubleprime"),
+        )
+        for spec in specs:
+            for coeff in (scalars.ONE, qpow(2), qd * scalars.from_int(-3)):
+                for n in range(4):
+                    word = tuple(rng.choice(letters) for _ in range(n))
+                    c = coeff.bar() if spec.bar_twist else coeff
+                    expected = FreeExpr.from_scalar(c)
+                    for letter in reversed(word) if spec.antimultiplicative else word:
+                        expected = expected * spec.image(letter)
+                    got = spec.apply(FreeExpr.word(word, coeff))
+                    assert got == expected, (spec.label, word, coeff)
