@@ -180,32 +180,18 @@ def _tau_b_image(v, i, e, prime, j):
         return FreeExpr.letter("B", a)
 
     if v.pinned(i) and v.kind == "jmath":
-        if prime:
-            if j == r - 1:
-                return qcomm(qcomm(bl(r - 1), bl(r), e), bl(r + 1), e).scale(
-                    qpow(-e)
-                ) - FreeExpr.word((_kletter(r, e), ("B", r - 1)))
-            if j == r:
-                return FreeExpr.word((_kletter(r, e), ("B", r)))
-            if j == r + 1:
-                return FreeExpr.word((("B", r + 1), _kletter(r + 1, e)))
-            if j == r + 2:
-                return qcomm(qcomm(bl(r + 2), bl(r + 1), e), bl(r), e).scale(
-                    qpow(-e)
-                ) - FreeExpr.word((("B", r + 2), _kletter(r + 1, e)))
-        else:
-            if j == r - 1:
-                return qcomm(bl(r + 1), qcomm(bl(r), bl(r - 1), -e), -e).scale(
-                    qpow(e)
-                ) - FreeExpr.word((_kletter(r + 1, -e), ("B", r - 1)))
-            if j == r:
-                return FreeExpr.word((_kletter(r + 1, -e), ("B", r)))
-            if j == r + 1:
-                return FreeExpr.word((("B", r + 1), _kletter(r, -e)))
-            if j == r + 2:
-                return qcomm(bl(r), qcomm(bl(r + 1), bl(r + 2), -e), -e).scale(
-                    qpow(e)
-                ) - FreeExpr.word((("B", r + 2), _kletter(r, -e)))
+        # tau'' = tau' here, as for T and tcal: qcomm(x, y, -e) =
+        # -q^(-e) qcomm(y, x, e), and K_{r+1}^(-+e) = K_r^(+-e) by K_r K_{r+1} = 1
+        if j == r - 1:
+            c = qcomm(qcomm(bl(r - 1), bl(r), e), bl(r + 1), e)
+            return c.scale(qpow(-e)) - FreeExpr.word((_kletter(r, e), ("B", r - 1)))
+        if j == r:
+            return FreeExpr.word((_kletter(r, e), ("B", r)))
+        if j == r + 1:
+            return FreeExpr.word((("B", r + 1), _kletter(r + 1, e)))
+        if j == r + 2:
+            c = qcomm(qcomm(bl(r + 2), bl(r + 1), e), bl(r), e)
+            return c.scale(qpow(-e)) - FreeExpr.word((("B", r + 2), _kletter(r + 1, e)))
         return bl(j)
 
     if v.pinned(i):
@@ -246,7 +232,7 @@ def _tau_b_image(v, i, e, prime, j):
 
 
 def tau_subst(v, i, e, kind):
-    """The substitution tau'_{i,e} (kind "prime") or tau''_{i,e}."""
+    """tau'_{i,e} (kind "prime") or tau''_{i,e}: one table if v.pinned(i)."""
     v.check_braid_args(i, e, kind)
     prime = kind == "prime"
     images = {("B", j): _tau_b_image(v, i, e, prime, j) for j in v.node_indices}

@@ -44,7 +44,9 @@ MAX_EXPONENT = 1000
 # expressions and usually far more than the collected Weyl or polynomial
 # terms.  On a shared 2-core x86 host (x1 + d1 + x2 + d2)^8, 4^8 words, takes
 # 0.03 s; (B1 + B2)^16, 2^16 free words, 0.2 s and 35 MB;
-# (x1 + d1 + x2 + d2)^20 ran 4.5 s and 112 MB.
+# (x1 + d1 + x2 + d2)^20 ran 4.5 s and 112 MB.  A product or q-commutator of
+# two elements is held to the same limit on its term pairs: the product of
+# two 425-term powers (x1 + d1 + x2 + d2)^8 ran 11 s and 48 MB.
 MAX_POWER_TERMS = 4 ** 8
 
 
@@ -181,6 +183,7 @@ class _Parser:
             raise ParseError("unexpected %r" % tok[1], tok[2])
         coeff = scalars.ONE
         factors = []  # the non-scalar factors in order, a run of letters as one word
+        starts = []  # the position of each non-scalar factor
         op = "*"
         while True:
             pos = self.peek()[2]
@@ -193,6 +196,7 @@ class _Parser:
                 factors[-1] += factor
             else:
                 factors.append(factor)
+                starts.append(pos)
             kind = self.peek()[0]
             if kind in ("*", "/"):
                 op = self.take()[0]
@@ -201,10 +205,13 @@ class _Parser:
             else:
                 break
         out = None
-        for f in factors:
+        for f, pos in zip(factors, starts):
             if isinstance(f, list):
                 f, coeff = self.word(f, coeff), scalars.ONE
-            out = f if out is None else out * f
+            if out is not None:
+                self.check_product(out, f, pos)
+                f = out * f
+            out = f
         if out is None:
             return coeff
         return out if coeff is scalars.ONE else out.scale(coeff)
@@ -249,7 +256,11 @@ class _Parser:
                 raise ParseError(
                     "a commutator subscript is '+' or '-', not %r" % nxt[1], end
                 )
-            out = qcomm(self.lift(lhs), self.lift(rhs), e)
+            scalar = any(isinstance(s, scalars.QScalar) for s in (lhs, rhs))
+            lhs, rhs = self.lift(lhs), self.lift(rhs)
+            if not scalar:
+                self.check_product(lhs, rhs, tok[2])
+            out = qcomm(lhs, rhs, e)
             return self.apply_power(out, self.exponent(default=1), tok[2])
         raise ParseError(
             "expected an expression, found %r" % (tok[1] or "end of input"), tok[2]
@@ -270,6 +281,15 @@ class _Parser:
                     pos,
                 )
         return out ** power
+
+    def check_product(self, a, b, pos):
+        """Refuse a product of elements a and b over MAX_POWER_TERMS term pairs."""
+        if len(a.terms) * len(b.terms) > MAX_POWER_TERMS:
+            raise ParseError(
+                "product expands to %d x %d terms, above the limit of %d"
+                % (len(a.terms), len(b.terms), MAX_POWER_TERMS),
+                pos,
+            )
 
     def inverse(self, x, non_scalar, pos):
         """1/c for the scalar c that x equals; non_scalar is the error otherwise."""

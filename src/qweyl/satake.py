@@ -55,7 +55,14 @@ class Variant:
         return range(1, self.bmax + 1)
 
     def pinned(self, i):
-        """Whether braid index i is the top one, whose operators fix the indices."""
+        """Whether braid index i is the top one, whose operators fix the indices.
+
+        There the two kinds give one operator in each braid action: T
+        (operators.braid_op), tau (iqg.tau_subst) and tcal
+        (polymod._tcal_point).  For tau the doubleprime formulas reduce to
+        the prime ones by qcomm(x, y, -e) = -q^(-e) qcomm(y, x, e) and
+        K_r K_{r+1} = 1.
+        """
         return i == self.bmax
 
     def check_braid_args(self, i, e, kind):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import time
 
@@ -302,6 +303,32 @@ def test_power_limit_boundary(capsys):
     for expr in ("(q + 1)^200", "(x1 + d1)^0", "(x1 + d1)^1", "(m1 q^2)^200", "(x1 + d1 + x2 + d2)^8"):
         rc, _, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
         assert rc == 0, (expr, err)
+
+
+POWER8 = "(x1 + d1 + x2 + d2)^8"  # 425 terms
+POWER4 = "(x1 + d1 + x2 + d2)^4"  # 57 terms
+
+
+def test_hostile_product_of_powers_is_rejected(capsys):
+    # each power is within the power limit, but a product or q-commutator of
+    # two of them forms 425^2 term pairs; the parser refuses it beforehand
+    for expr in (POWER8 + " " + POWER8, "[%s, %s]_+" % (POWER8, POWER8)):
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+        assert rc == 2 and out == "", expr
+        assert "425 x 425 terms" in err and "limit of %d" % parser.MAX_POWER_TERMS in err
+        assert time.perf_counter() - t0 < 0.5
+
+
+def test_product_limit_boundary(capsys):
+    # 425 x 57 = 24,225 term pairs are within the limit, and the product
+    # prints the bytes it printed before the limit existed
+    assert 425 * 57 <= parser.MAX_POWER_TERMS < 425 * 425
+    expr = POWER8 + " " + POWER4
+    rc, out, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+    assert rc == 0, err
+    digest = "197a2c82f30e99ac9fb7f444d80edb74d5221cf16b6a9b65c47f51a4c9c7a596"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_mutation_fails_verify(capsys, monkeypatch):

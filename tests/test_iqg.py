@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import qweyl
-from qweyl import iqg, operators, scalars
+from qweyl import iqg, operators, polymod, scalars
 from qweyl.expressions import FreeExpr, qcomm
 from qweyl.report import FAIL, PASS, SKIP
 from qweyl.satake import Variant
@@ -113,15 +113,28 @@ def test_tau_generic_even():
     assert d.image(("B", 3)) == qcomm(B(4), B(3), -1)
 
 
-def test_tau_fixed_node_odd_kind_independent():
+def test_pinned_index_kind_independent():
+    # at the pinned index T, tau and tcal each have one operator for both kinds
     for e in (1, -1):
         p = iqg.tau_subst(I1, 2, e, "prime")
-        d = iqg.tau_subst(I1, 2, e, "doubleprime")
         assert p.image(("B", 1)) == qcomm(B(2), B(1), -e)
         assert p.image(("B", 3)) == qcomm(B(3), B(2), e)
         assert p.image(("B", 2)) == B(2)
-        for letter in iqg.iqg_letters(I1):
-            assert p.image(letter) == d.image(letter)
+    for kind in ("jmath", "imath"):
+        for rank in range(1, 7):
+            v = Variant(kind, rank)
+            i = v.bmax
+            for e in (1, -1):
+                for build in (operators.braid_op, iqg.tau_subst):
+                    p = build(v, i, e, "prime")
+                    d = build(v, i, e, "doubleprime")
+                    assert p.images.keys() == d.images.keys()
+                    for letter in p.images:
+                        assert p.image(letter) == d.image(letter), (v, e, letter)
+                for a in polymod.grid(v, 3):
+                    assert polymod._tcal_point(v, i, e, "prime", a) == (
+                        polymod._tcal_point(v, i, e, "doubleprime", a)
+                    ), (v, e, a)
 
 
 def test_tau_doubly_adjacent_odd():
@@ -317,6 +330,17 @@ def test_tau_validation_errors():
         iqg.tau_subst(J2, 3, 1, "prime")
     with pytest.raises(ValueError, match="no image for letter"):
         iqg.tau_subst(J2, 1, 1, "prime").image(("B", 9))
+
+
+def test_missing_letter_images_are_named():
+    # the first letter of a word and a later one are looked up alike
+    for spec, known, unknown in (
+        (iqg.phi_spec(J2), ("B", 1), ("x", 1)),
+        (iqg.tau_subst(J2, 1, 1, "prime"), ("B", 1), ("x", 1)),
+    ):
+        for word in ((unknown, known), (known, unknown)):
+            with pytest.raises(ValueError, match="no image for letter x1"):
+                spec.apply_free(FreeExpr.word(word))
 
 
 def test_varsigma_values():

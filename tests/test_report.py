@@ -162,3 +162,9 @@ def test_report_json_of_every_suite_matches_json_dumps(kind, e):
         assert report_json(rep) == reference_json(rep), name
     rep = make_report("all", v, every, e=e)
     assert report_json(rep) == reference_json(rep)
+
+
+def test_duplicate_check_ids_are_refused():
+    checks = [equality_check("a/x", "one", 1, 1), equality_check("a/x", "two", 2, 2)]
+    with pytest.raises(ValueError, match="duplicate check ids"):
+        make_report("weyl-relations", Variant("jmath", 1), checks)

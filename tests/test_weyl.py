@@ -568,3 +568,12 @@ def test_integer_term_accumulation_trims_and_drops():
     assert out == {0: (0, (3, 0, 5))}
     weyl._lacc(out, 0, 0, (-3, 0, -5))  # everything cancels
     assert out == {}
+    # out[c] -= q^lo * cs: the rewrite rules write their terms in descending
+    # c order, so no word subtracts into an existing key either
+    weyl._lacc(out, 1, 0, (1, 2))  # 1 + 2q
+    weyl._lacc(out, 1, 1, (2, 5), -1)  # - 2q - 5q^2
+    assert out == {1: (0, (1, 0, -5))}
+    weyl._lacc(out, 2, -1, (4,), -1)  # a new key takes the negated terms
+    assert out == {1: (0, (1, 0, -5)), 2: (-1, (-4,))}
+    weyl._lacc(out, 1, 0, (1, 0, -5), -1)  # everything cancels
+    assert out == {2: (-1, (-4,))}
