@@ -550,47 +550,37 @@ def laurent_times(lo, cs, c):
     return QScalar._raw(lo, cs, D_ONE) * c
 
 
-def laurent_over_common_den(scalars):
-    """Express scalars over one balanced common denominator.
-
-    Returns ([(shift, numpoly)], (dshift, denpoly)); each scalar equals
-    q^shift * numpoly / (q^dshift * denpoly), and denpoly == (1,) means no
-    denominator is needed.  The shift -h centers the denominator so that
-    q^2 - 1 is presented as q - q^-1.
-    """
-    D = D_ONE
-    for s in scalars:
-        if s.dfac != D_ONE:
-            D = _den_lcm(D, s.dfac)
-    c, a, b, r = D
-    h = (a + b + len(r) - 1) // 2
-    nums = [(s.val - h, _over(s.num, D, s.dfac)) for s in scalars]
-    return nums, (-h, _expand(P_ONE, *D))
-
-
 def terms_str(pairs, sep="*"):
-    """Render [(monomial label, coefficient)] over one balanced denominator.
+    """Render [(monomial label, nonzero coefficient)] over one balanced denominator.
 
-    Labels are attached with sep; coefficients +-1 vanish, single q-powers
-    stay inline ("q^-1*m1^-1"), anything longer gets parentheses.
+    The denominator is the lcm of the coefficients' distinct denominators,
+    shifted by q^-h so that q^2 - 1 is presented as q - q^-1.  Labels are
+    attached with sep; coefficients +-1 vanish, single q-powers stay inline
+    ("q^-1*m1^-1"), anything longer gets parentheses.
     """
     if not pairs:
         return "0"
-    nums, (dshift, dpoly) = laurent_over_common_den([c for _, c in pairs])
-    rendered = []
-    for (label, _), (shift, npoly) in zip(pairs, nums):
-        nz = [k for k, c in enumerate(npoly) if c]
-        if len(nz) == 1:
-            k = nz[0]
-            c = npoly[k]
-            e = shift + k
+    D = D_ONE
+    # first-seen order: no set order reaches the lcm
+    for d in dict.fromkeys(s.dfac for _, s in pairs):
+        D = _den_lcm(D, d)
+    _, a, b, r = D
+    h = (a + b + len(r) - 1) // 2
+    out = []
+    for label, s in pairs:
+        npoly = s.num if s.dfac == D else _over(s.num, D, s.dfac)
+        shift = s.val - h
+        # num(0) != 0 and D's factors are nonzero at 0, so npoly(0) != 0:
+        # a single q-power is a one-coefficient numerator
+        if len(npoly) == 1:
+            c = npoly[0]
             neg = c < 0
             mag = abs(c)
             factors = []
             if mag != 1:
                 factors.append(str(mag))
-            if e != 0:
-                factors.append("q" if e == 1 else "q^%d" % e)
+            if shift:
+                factors.append("q" if shift == 1 else "q^%d" % shift)
             head = "*".join(factors)
             if head and label:
                 body = head + sep + label
@@ -605,14 +595,11 @@ def terms_str(pairs, sep="*"):
                 body = "(" + inner + ")"
             else:
                 body = inner
-        rendered.append((neg, body))
-    out = []
-    for neg, body in rendered:
-        if not out:
-            out.append("-" + body if neg else body)
-        else:
+        if out:
             out.append((" - " if neg else " + ") + body)
+        else:
+            out.append("-" + body if neg else body)
     joined = "".join(out)
-    if dpoly == P_ONE:
+    if D == D_ONE:
         return joined
-    return "(%s)/(%s)" % (joined, poly_str(dpoly, dshift))
+    return "(%s)/(%s)" % (joined, poly_str(_expand(P_ONE, *D), -h))

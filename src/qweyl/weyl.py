@@ -14,6 +14,7 @@ multiplied one index at a time.
 """
 
 import functools
+import itertools
 
 from . import scalars
 from .expressions import FreeExpr, Terms, acc, letter_tag
@@ -217,17 +218,22 @@ def mono_word(mono):
     )
 
 
-def _mono_str(mono):
+# the text of one index's triple, shared by every monomial that has it
+@functools.lru_cache(maxsize=1024)
+def _index_label(i, t):
+    a, b, c = t
     bits = []
-    for p, (a, b, c) in enumerate(mono):
-        i = p + 1
-        if a:
-            bits.append("x%d" % i if a == 1 else "x%d^%d" % (i, a))
-        if b:
-            bits.append("d%d" % i if b == 1 else "d%d^%d" % (i, b))
-        if c:
-            bits.append("m%d" % i if c == 1 else "m%d^%d" % (i, c))
+    if a:
+        bits.append("x%d" % i if a == 1 else "x%d^%d" % (i, a))
+    if b:
+        bits.append("d%d" % i if b == 1 else "d%d^%d" % (i, b))
+    if c:
+        bits.append("m%d" % i if c == 1 else "m%d^%d" % (i, c))
     return " ".join(bits)
+
+
+def _mono_str(mono):
+    return " ".join([_index_label(i, t) for i, t in enumerate(mono, 1) if t != (0, 0, 0)])
 
 
 class WeylElement(Terms):
@@ -291,12 +297,14 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
 
     Letters at distinct indices commute, so the letters are grouped by
     index and every index's subword is reduced on its own integer state by
-    _index_state.  Each state is multiplied into the terms so far as
-    integer polynomials over one shared (q - q^-1)^-N, N the sum of the
-    states' x-d rewrites; each output term then becomes one scalar.  A word
+    _index_state.  Each choice of one term per index is one output
+    monomial: its integer polynomials are multiplied over one shared
+    (q - q^-1)^-N, N the sum of the states' x-d rewrites, and become one
+    scalar.  word may be any iterable of (name, index) letters.  A word
     with more than MAX_INDEX_LETTERS x and d letters at one index raises
     ValueError before any index is reduced.
     """
+    word = tuple(word)
     if strategy == "left":
         rule, letters = _append_right, word
     elif strategy == "right":
@@ -320,7 +328,7 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
                     "word has %d x and d letters at index %d, above the limit of %d"
                     % (n, idx, MAX_INDEX_LETTERS)
                 )
-    out = {unit_mono(v): (0, P_ONE)}
+    choices = []  # per index: its terms as (position, triple, lo, cs)
     N = 0
     for idx, names in subwords.items():
         # the first letter rewrites the unit triple to its own triple
@@ -328,21 +336,20 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
         a, b, n, terms = _index_state(v.kappa(idx), rule, t, names[1:])
         N += n
         p = idx - 1
-        # distinct indices: no two (monomial, triple) pairs give one monomial
-        out = {
-            m[:p] + ((a, b, c),) + m[p + 1 :]: (lo1 + lo2, p_mul(cs1, cs2))
-            for m, (lo1, cs1) in out.items()
-            for c, (lo2, cs2) in terms.items()
-        }
+        choices.append([(p, (a, b, c), lo, cs) for c, (lo, cs) in terms.items()])
     if N:
         coeff = coeff * _QD ** N
-    # each integer product is dropped once used, so a long word never holds
-    # its polynomials twice
-    terms = {}
-    for m in list(out):
-        lo, cs = out.pop(m)
-        terms[m] = laurent_times(lo, cs, coeff)
-    return WeylElement(v, terms)
+    mono = list(unit_mono(v))
+    out = {}
+    # distinct indices: each choice of one term per index is its own monomial
+    for pick in itertools.product(*choices):
+        lo, cs = 0, P_ONE
+        for p, t, lo2, cs2 in pick:
+            mono[p] = t
+            lo += lo2
+            cs = cs2 if cs is P_ONE else p_mul(cs, cs2)
+        out[tuple(mono)] = laurent_times(lo, cs, coeff)
+    return WeylElement(v, out)
 
 
 def reduce_expr(v, expr):

@@ -93,6 +93,42 @@ def test_normalize_long_same_index_subwords(capsys):
     )
 
 
+def test_normalize_pinned_mixed_denominators(capsys):
+    # the expressions CI normalizes under python -O and two hash seeds (the
+    # non-shape and long-subword ones are pinned above), at jmath rank 3:
+    # runs, powers, a sum and a scalar division; coefficients over q - q^-1,
+    # (q + 1)^2 and 7, none of them the lcm; and, last, coefficients over 1,
+    # q - q^-1 and the cofactor r = q^2 + 1, rendered over one lcm
+    cases = (
+        (
+            "2/3 q^-1 x1 d1^2 m4^-2 x4 * d2 (x3 + q d3 m3) / 5 d4^2 x4 - [x2 d2, m4 d4]_+ / 2",
+            "(4*d1 m1 d2 x3 + (-4 - 4*q^-4)*d1 m1 d2 x3 m4^-2 + 4*q^-4*d1 m1 d2 x3 m4^-4"
+            " + 4*q*d1 m1 d2 d3 m3 + (-4*q - 4*q^-3)*d1 m1 d2 d3 m3 m4^-2"
+            " + 4*q^-3*d1 m1 d2 d3 m3 m4^-4 - 4*q^2*d1 m1^-1 d2 x3"
+            " + (4*q^2 + 4*q^-2)*d1 m1^-1 d2 x3 m4^-2 - 4*q^-2*d1 m1^-1 d2 x3 m4^-4"
+            " - 4*q^3*d1 m1^-1 d2 d3 m3 + (4*q^3 + 4*q^-1)*d1 m1^-1 d2 d3 m3 m4^-2"
+            " - 4*q^-1*d1 m1^-1 d2 d3 m3 m4^-4"
+            " + (15*q - 15 - 30*q^-1 + 30*q^-2 + 15*q^-3 - 15*q^-4)*m2 d4 m4"
+            " + (-15*q + 15 + 30*q^-1 - 30*q^-2 - 15*q^-3 + 15*q^-4)*m2^-1 d4 m4)"
+            "/(30*q^3 - 90*q + 90*q^-1 - 30*q^-3)",
+        ),
+        (
+            "(q^2+1)/(q^3-q) x1 - 3 d1/(q+1)^2 + 5/7",
+            "((7*q + 7 + 7*q^-1 + 7*q^-2)*x1 + (-21 + 21*q^-1)*d1"
+            " + (5*q^2 + 5*q - 5 - 5*q^-1))/(7*q^2 + 7*q - 7 - 7*q^-1)",
+        ),
+        (
+            "x1 - q d1 x1 + 2 x2/(q^2+1)",
+            "((q^2 - q^-2)*x1 + (-q^3 - q)*m1 + (2 - 2*q^-2)*x2 + (q + q^-1)*m1^-1)"
+            "/(q^2 - q^-2)",
+        ),
+    )
+    for expr, want in cases:
+        rc, out, _ = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "3"])
+        assert rc == 0
+        assert out == want + "\n"
+
+
 def test_apply_braid_depends_on_rank(capsys):
     argv = ["apply", "m2", "--op", "T", "--i", "2", "--e", "-1", "--kind", "prime"]
     rc, out, _ = run(capsys, argv + ["--variant", "jmath", "--rank", "2"])

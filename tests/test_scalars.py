@@ -9,6 +9,7 @@ import pytest
 import qweyl
 from qweyl import scalars
 from qweyl.scalars import (
+    D_ONE,
     ONE,
     P_ONE,
     ZERO,
@@ -588,3 +589,37 @@ def test_pow_matches_repeated_multiplication():
             got = s ** k
             assert (got.val, got.num, got.dfac) == (prod.val, prod.num, prod.dfac)
             prod = prod * s
+
+
+def test_numerators_over_the_common_denominator_keep_a_constant_term():
+    # terms_str takes every coefficient over the lcm D of their denominators
+    # and reads a single q-power off a one-coefficient numerator: that needs
+    # each numerator num * D/den to be nonzero at q = 0
+    rng = random.Random(2929)
+    for _ in range(300):
+        coeffs = [QScalar(_rand_num(rng), _rand_den(rng)) for _ in range(rng.randint(1, 4))]
+        D = D_ONE
+        for s in coeffs:
+            D = _den_lcm(D, s.dfac)
+        dpoly = _expand(P_ONE, *D)
+        for s in coeffs:
+            n = scalars._over(s.num, D, s.dfac)
+            assert n[0] != 0
+            assert s == qpow(s.val) * QScalar(n, dpoly)
+
+
+def test_terms_str_pinned():
+    # single q-powers inline, +-1 vanishing, a lone longer numerator bare,
+    # and a shared denominator centred on q^0
+    ts = scalars.terms_str
+    assert ts([]) == "0"
+    assert ts([("", ONE)]) == "1"
+    assert ts([("x1", -ONE), ("", qpow(-1))]) == "-x1 + q^-1"
+    assert ts([("m1", from_int(-3) * q), ("d2", qpow(2))], sep=" ") == "-3*q m1 + q^2 d2"
+    assert ts([("", q + 1)]) == "q + 1"
+    assert ts([("x1", q + 1), ("", from_int(2))]) == "(q + 1)*x1 + 2"
+    one_over = ONE / (q - qi)
+    assert ts([("m1", one_over), ("", qi / (q * q - 1))]) == "(m1 + q^-2)/(q - q^-1)"
+    assert ts([("x1", ONE / (q * q + 1)), ("", from_frac(1, 2))]) == (
+        "(2*q^-1*x1 + (q + q^-1))/(2*q + 2*q^-1)"
+    )

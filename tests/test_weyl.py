@@ -554,6 +554,78 @@ def test_reduce_word_scalar_work(monkeypatch):
                     assert wide > 0
 
 
+def test_reduce_word_reads_a_one_shot_iterable_once():
+    # the letters are validated and grouped from one tuple, so a generator
+    # is not used up by the validation pass
+    J3 = Variant("jmath", 3)
+    for v, word in (
+        (J1, (("d", 1), ("x", 1))),
+        (J3, (("d", 4), ("m", 2), ("x", 4), ("x", 1), ("d", 1), ("mi", 3))),
+    ):
+        for strategy in ("left", "right"):
+            expect = reduce_word(v, word, strategy=strategy)
+            assert len(expect.terms) > 1
+            assert reduce_word(v, list(word), strategy=strategy) == expect
+            assert reduce_word(v, (l for l in word), strategy=strategy) == expect
+
+
+def test_reduce_word_empty_word_is_its_coefficient():
+    coeffs = (5, qpow(-2), scalars.from_frac(-5, 7), QScalar((1,), (1, 0, 1)), QD**3)
+    for v in (J1, I2):
+        for coeff in coeffs:
+            for strategy in ("left", "right"):
+                got = reduce_word(v, (), coeff, strategy)
+                assert got.terms == {unit_mono(v): coeff}
+                assert got == WeylElement.unit(v, coeff)
+
+
+def test_reduce_word_multiplies_out_several_indices():
+    # words touching 3 or 4 indices, some with m letters only (one term
+    # each) and, in jmath, the weight-2 index 4: every choice of one term
+    # per index is one output monomial, so the word equals the product of
+    # the reductions of its per-index subwords
+    rng = random.Random(8128)
+    coeffs = (1, qpow(-3), scalars.from_frac(-5, 7), QScalar((1,), (1, 0, 1)))
+    wide = top = 0
+    for v in (Variant("jmath", 3), Variant("imath", 3)):
+        indices = list(v.weyl_indices)
+        for n in range(24):
+            touched = rng.sample(indices, 3 + n % 2)
+            m_only = rng.sample(touched, 1 + n % 2)
+            word = []
+            for i in touched:
+                names = ("m", "mi") if i in m_only else weyl.WEYL_LETTER_NAMES
+                word += [(rng.choice(names), i) for _ in range(rng.randint(1, 6))]
+            rng.shuffle(word)
+            word = tuple(word)
+            coeff = coeffs[n % len(coeffs)]
+            for strategy in ("left", "right"):
+                expect = WeylElement.unit(v, coeff)
+                multi = 0
+                for i in touched:
+                    part = reduce_word(v, tuple(l for l in word if l[1] == i), 1, strategy)
+                    multi += len(part.terms) > 1
+                    expect = expect * part
+                got = reduce_word(v, word, coeff, strategy)
+                assert got == expect, (v, word, coeff, strategy)
+                wide += multi > 1
+                top += v.kind == "jmath" and any(l in word for l in (("x", 4), ("d", 4)))
+    assert wide > 5 and top > 5
+
+
+def test_index_label_table_is_bounded():
+    # monomial labels are joined from per-index texts kept in one bounded table
+    table = weyl._index_label
+    assert table.cache_info().maxsize == 1024
+    for a in range(40):
+        for i in range(1, 31):
+            table(i, (a, 0, 1))
+    assert table.cache_info().currsize == 1024
+    mono = ((2, 0, -1), (0, 3, 0), (0, 0, 0), (0, 1, 1), (1, 0, 0))
+    assert weyl._mono_str(mono) == "x1^2 m1^-1 d2^3 d4 m4 x5"
+    assert weyl._mono_str(unit_mono(J2)) == ""
+
+
 def test_integer_term_accumulation_trims_and_drops():
     # out[c] += q^lo * cs on (lo, coefficient tuple) pairs; no word in the
     # tests cancels a sum, so the trimming branches are driven directly
