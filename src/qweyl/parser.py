@@ -18,11 +18,13 @@ needs a space or '*' before it.
 
 Every context reads a term by one rule: a term is one scalar coefficient
 times its non-scalar factors in order, and each maximal run of letters,
-juxtaposed or joined by '*', is one word.  Scalars commute with
-everything, so each scalar factor and each '/' joins the coefficient
-wherever it stands.  The context turns coeff * word into an element in
-one place (_Parser.word): one reduce_word call for weyl, one free word for
-iqg, one monomial for poly.  A scalar result stays a QScalar until it meets
+juxtaposed or joined by '*', is one word.  _Parser.letters reads a
+juxtaposed run of letters in one loop, each letter with its own '^k' and
+checked at its own position; after '/' it reads the one letter divided by.
+Scalars commute with everything, so each scalar factor and each '/' joins
+the coefficient wherever it stands.  The context turns coeff * word into
+an element in one place (_Parser.word): one reduce_word call for weyl, one
+free word for iqg, one monomial for poly.  A scalar result stays a QScalar until it meets
 an element, and is lifted as the empty word.
 """
 
@@ -133,28 +135,45 @@ class _Parser:
             exps[idx - 1] += 1
         return PolyElement.monomial(v, exps, coeff)
 
-    def letter(self, name, idx, power, pos):
-        """The word of a generator raised to an integer power, checked at pos."""
-        v = self.variant
-        if self.context == "poly":
-            if power < 0:
-                raise ParseError("negative exponent on X%d" % idx, pos)
-            if not 1 <= idx <= v.rank + 1:
-                raise ParseError(
-                    "index out of range: X%d (indices run 1..%d)" % (idx, v.rank + 1),
-                    pos,
-                )
-        else:
-            if power < 0 and name in ("m", "K"):
-                name += "i"
-            elif power < 0:
-                raise ParseError("negative power of %s%d" % (name, idx), pos)
-            check = iqg.validate_iletter if self.context == "iqg" else validate_letter
-            try:
-                check(v, name, idx)
-            except ValueError as err:
-                raise ParseError(str(err), pos) from None
-        return [(name, idx)] * abs(power)
+    def letters(self, run):
+        """The word of the letters from here, each checked at its own position.
+
+        Each letter takes its own '^k'.  With run, every letter juxtaposed
+        to the first is read as well; without, only the first.
+        """
+        v, tokens, context = self.variant, self.tokens, self.context
+        check = iqg.validate_iletter if context == "iqg" else validate_letter
+        word = []
+        tok = tokens[self.k]
+        while True:
+            name, pos = tok[1], tok[2]
+            head, digits = name[0], name[1:]
+            if head not in self.gen_names or not digits:
+                raise ParseError("unknown generator '%s'" % name, pos)
+            self.k += 1
+            power = self.exponent()
+            idx = int(digits)
+            if context == "poly":
+                if power < 0:
+                    raise ParseError("negative exponent on X%d" % idx, pos)
+                if not 1 <= idx <= v.rank + 1:
+                    raise ParseError(
+                        "index out of range: X%d (indices run 1..%d)" % (idx, v.rank + 1),
+                        pos,
+                    )
+            else:
+                if power < 0 and head in ("m", "K"):
+                    head += "i"
+                elif power < 0:
+                    raise ParseError("negative power of %s%d" % (head, idx), pos)
+                try:
+                    check(v, head, idx)
+                except ValueError as err:
+                    raise ParseError(str(err), pos) from None
+            word += [(head, idx)] * abs(power)
+            tok = tokens[self.k]
+            if not run or tok[0] != "NAME" or tok[1] == "q":
+                return word
 
     def parse(self):
         out = self.expr()
@@ -186,8 +205,13 @@ class _Parser:
         starts = []  # the position of each non-scalar factor
         op = "*"
         while True:
-            pos = self.peek()[2]
-            factor = self.factor()
+            tok = self.peek()
+            pos = tok[2]
+            if tok[0] == "NAME" and tok[1] != "q":
+                # a run of letters; after '/' only the letter divided by
+                factor = self.letters(op == "*")
+            else:
+                factor = self.factor()
             if op == "/":
                 factor = self.inverse(factor, "division by a non-scalar expression", pos)
             if isinstance(factor, scalars.QScalar):
@@ -218,26 +242,18 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
-        if tok[0] == "NAME":
+        if tok[1] == "q":
             self.take()
-            name, pos = tok[1], tok[2]
-            if name == "q":
-                power = self.exponent(default=1)
-                return scalars.qpow(power)
-            head, digits = name[0], name[1:]
-            if head not in self.gen_names or not digits:
-                raise ParseError("unknown generator '%s'" % name, pos)
-            power = self.exponent(default=1)
-            return self.letter(head, int(digits), power, pos)
+            return scalars.qpow(self.exponent())
         if tok[0] == "INT":
             self.take()
             c = scalars.from_int(int(tok[1]))
-            return self.apply_power(c, self.exponent(default=1), tok[2])
+            return self.apply_power(c, self.exponent(), tok[2])
         if tok[0] == "(":
             self.take()
             out = self.expr()
             self.take(")")
-            return self.apply_power(out, self.exponent(default=1), tok[2])
+            return self.apply_power(out, self.exponent(), tok[2])
         if tok[0] == "[":
             self.take()
             lhs = self.expr()
@@ -261,7 +277,7 @@ class _Parser:
             if not scalar:
                 self.check_product(lhs, rhs, tok[2])
             out = qcomm(lhs, rhs, e)
-            return self.apply_power(out, self.exponent(default=1), tok[2])
+            return self.apply_power(out, self.exponent(), tok[2])
         raise ParseError(
             "expected an expression, found %r" % (tok[1] or "end of input"), tok[2]
         )
@@ -301,9 +317,10 @@ class _Parser:
             raise ParseError("division by zero", pos)
         return x.inv()
 
-    def exponent(self, default):
+    def exponent(self):
+        """The integer k of a '^k' here, 1 when there is none."""
         if self.peek()[0] != "^":
-            return default
+            return 1
         self.take()
         sign = 1
         if self.peek()[0] in ("+", "-"):

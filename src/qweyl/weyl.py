@@ -92,59 +92,74 @@ def _lacc(out, c, lo, cs, sign=1):
     out[c] = (start + i, cs[i:])
 
 
-def _append_right(k, state, name):
-    """At one index of weight k: the state (a, b, n, terms) times a letter."""
+def _append_right(k, state, names):
+    """At one index of weight k: the state (a, b, n, terms) times the letters names.
+
+    names is in rewrite order: the letter next to the state comes first.
+    """
     a, b, n, terms = state
-    if name == "m" or name == "mi":
-        s = 1 if name == "m" else -1
-        return a, b, n, {c + s: t for c, t in terms.items()}
-    out = {}
-    if name == "x":
-        if b == 0:
-            return a + 1, 0, n, {c: (lo + k * c, cs) for c, (lo, cs) in terms.items()}
+    for name in names:
+        if name == "m" or name == "mi":
+            s = 1 if name == "m" else -1
+            terms = {c + s: t for c, t in terms.items()}
+        elif name == "x":
+            if b == 0:
+                a += 1
+                terms = {c: (lo + k * c, cs) for c, (lo, cs) in terms.items()}
+            else:
+                out = {}
+                for c, (lo, cs) in terms.items():
+                    _lacc(out, c + 1, lo + k * (c + 1), cs)
+                    _lacc(out, c - 1, lo + k * (c - 1), cs, -1)
+                b, n, terms = b - 1, n + 1, out
+        elif a == 0:  # name == "d"
+            b += 1
+            terms = {c: (lo - k * c, cs) for c, (lo, cs) in terms.items()}
+        else:
+            out = {}
+            for c, (lo, cs) in terms.items():
+                lo -= k * c
+                _lacc(out, c + 1, lo, cs)
+                _lacc(out, c - 1, lo, cs, -1)
+            a, n, terms = a - 1, n + 1, out
+    return a, b, n, terms
+
+
+def _append_left(k, state, names):
+    """At one index of weight k: the letters names times the state (a, b, n, terms).
+
+    names is in rewrite order, the word reversed: the letter next to the
+    state comes first.
+    """
+    a, b, n, terms = state
+    for name in names:
+        if name == "m" or name == "mi":
+            s = 1 if name == "m" else -1
+            e = s * k * (a - b)
+            terms = {c + s: (lo + e, cs) for c, (lo, cs) in terms.items()}
+            continue
+        if name == "x":
+            if b == 0:
+                a += 1
+                continue
+            e, a, b = -k * (b - 1), 0, b - 1
+        elif a == 0:
+            b += 1
+            continue
+        else:
+            e, a, b = k * a, a - 1, 0
+        out = {}
         for c, (lo, cs) in terms.items():
-            _lacc(out, c + 1, lo + k * (c + 1), cs)
-            _lacc(out, c - 1, lo + k * (c - 1), cs, -1)
-        return a, b - 1, n + 1, out
-    # name == "d"
-    if a == 0:
-        return 0, b + 1, n, {c: (lo - k * c, cs) for c, (lo, cs) in terms.items()}
-    for c, (lo, cs) in terms.items():
-        lo -= k * c
-        _lacc(out, c + 1, lo, cs)
-        _lacc(out, c - 1, lo, cs, -1)
-    return a - 1, 0, n + 1, out
-
-
-def _append_left(k, state, name):
-    """At one index of weight k: a letter times the state (a, b, n, terms)."""
-    a, b, n, terms = state
-    if name == "m" or name == "mi":
-        s = 1 if name == "m" else -1
-        e = s * k * (a - b)
-        return a, b, n, {c + s: (lo + e, cs) for c, (lo, cs) in terms.items()}
-    if name == "x":
-        if b == 0:
-            return a + 1, 0, n, terms
-        e, a, b = -k * (b - 1), 0, b - 1
-    elif a == 0:
-        return 0, b + 1, n, terms
-    else:
-        e, a, b = k * a, a - 1, 0
-    out = {}
-    for c, (lo, cs) in terms.items():
-        _lacc(out, c + 1, lo + e, cs)
-        _lacc(out, c - 1, lo - e, cs, -1)
-    return a, b, n + 1, out
+            _lacc(out, c + 1, lo + e, cs)
+            _lacc(out, c - 1, lo - e, cs, -1)
+        n, terms = n + 1, out
+    return a, b, n, terms
 
 
 def _index_state(k, rule, t, names):
-    """The state of the triple t after the letters names, one rule at a time."""
+    """The state of the triple t after the letters names, in one rule call."""
     a, b, c = t
-    state = (a, b, 0, {c: (0, P_ONE)})
-    for name in names:
-        state = rule(k, state, name)
-    return state
+    return rule(k, (a, b, 0, {c: (0, P_ONE)}), names)
 
 
 # Distinct indices commute, so _mul_terms multiplies canonical

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qweyl import cli, operators, parser, weyl
+from qweyl import cli, operators, parser, scalars, weyl
 from qweyl.cli import main
 from qweyl.weyl import EndoSpec
 
@@ -97,8 +97,9 @@ def test_normalize_pinned_mixed_denominators(capsys):
     # the expressions CI normalizes under python -O and two hash seeds (the
     # non-shape and long-subword ones are pinned above), at jmath rank 3:
     # runs, powers, a sum and a scalar division; coefficients over q - q^-1,
-    # (q + 1)^2 and 7, none of them the lcm; and, last, coefficients over 1,
-    # q - q^-1 and the cofactor r = q^2 + 1, rendered over one lcm
+    # (q + 1)^2 and 7, none of them the lcm; coefficients over 1, q - q^-1
+    # and the cofactor r = q^2 + 1, rendered over one lcm; and, last,
+    # (q - 1)^a (q + 1)^b with a != b and (q - q^-1)^6
     cases = (
         (
             "2/3 q^-1 x1 d1^2 m4^-2 x4 * d2 (x3 + q d3 m3) / 5 d4^2 x4 - [x2 d2, m4 d4]_+ / 2",
@@ -121,6 +122,15 @@ def test_normalize_pinned_mixed_denominators(capsys):
             "x1 - q d1 x1 + 2 x2/(q^2+1)",
             "((q^2 - q^-2)*x1 + (-q^3 - q)*m1 + (2 - 2*q^-2)*x2 + (q + q^-1)*m1^-1)"
             "/(q^2 - q^-2)",
+        ),
+        (
+            "x1/(q-1)^3 + d1/(q+1)",
+            "((q^-1 + q^-2)*x1 + (q - 3 + 3*q^-1 - q^-2)*d1)/(q^2 - 2*q + 2*q^-1 - q^-2)",
+        ),
+        (
+            "(d1 x1)^6",
+            "(q^6*m1^6 - 6*q^4*m1^4 + 15*q^2*m1^2 - 20 + 15*q^-2*m1^-2 - 6*q^-4*m1^-4"
+            " + q^-6*m1^-6)/(q^6 - 6*q^4 + 15*q^2 - 20 + 15*q^-2 - 6*q^-4 + q^-6)",
         ),
     )
     for expr, want in cases:
@@ -365,6 +375,35 @@ def test_product_limit_boundary(capsys):
     assert rc == 0, err
     digest = "197a2c82f30e99ac9fb7f444d80edb74d5221cf16b6a9b65c47f51a4c9c7a596"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_hostile_scalar_gcd_is_rejected(capsys):
+    # two large cofactors: the gcd of their polynomials would run for
+    # seconds to minutes, and p_gcd refuses it before its remainder sequence
+    n = scalars.MAX_GCD_DEGREES
+    for expr, degrees in (
+        ("(q+2)^101/(q+3)^100", (101, 100)),
+        ("1/(q+2)^71 + 1/(q+3)^71", (71, 142)),
+    ):
+        assert degrees[0] * degrees[1] > n
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+        assert rc == 2 and out == "", expr
+        assert "degrees %d and %d, above the limit of %d" % (degrees + (n,)) in err
+        assert time.perf_counter() - t0 < 0.5
+
+
+def test_gcd_limit_boundary(capsys):
+    # gcds of degrees 100 x 100 and 70 x 140 are within the limit, and print
+    # the bytes they printed before the limit existed
+    assert 100 * 100 <= scalars.MAX_GCD_DEGREES and 70 * 140 <= scalars.MAX_GCD_DEGREES
+    for expr, digest in (
+        ("(q+2)^100/(q+3)^100", "a34a496f06231b6cda2c4750865e46ffa171e60fd73dd142f0adde22077b7bec"),
+        ("1/(q+2)^70 + 1/(q+3)^70", "8ade90b7b34e9c4ec24f6fba2535255e50bb9ce0572b99c9645781f2b7490dad"),
+    ):
+        rc, out, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, expr
 
 
 def test_mutation_fails_verify(capsys, monkeypatch):

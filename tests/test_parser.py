@@ -256,6 +256,9 @@ def test_weyl_texts_match_factor_by_factor_products_random():
     assert parse("q^-2 x1*d1 m1^-2", "weyl", J2) == (x1 * d1 * m1i * m1i).scale(qpow(-2))
     assert parse("x1 / 3 d1", "weyl", J2) == (x1 * d1).scale(third)
     assert parse("x1^0 d1 x1^0", "weyl", J2) == d1
+    # '/' takes one letter; '*' does not end a run
+    assert str(parse("6 / x1^0 x2", "weyl", J2)) == "6*x2"
+    assert str(parse("x1*x2 x1", "weyl", J2)) == "x1^2 x2"
     assert parse("x1^0", "weyl", J2) == WeylElement.unit(J2)
     assert parse("0 x1 d1", "weyl", J2) == WeylElement(J2, {})
 
@@ -313,6 +316,9 @@ def test_errors_inside_a_run_keep_their_position():
     for ctx, text, message, pos in (
         ("weyl", "x1 d2 x9", "index out of range: x9 (indices run 1..3)", 6),
         ("weyl", "x1 d1^-1", "negative power of d1", 3),
+        ("weyl", "x1 y2 x1", "unknown generator 'y2'", 3),
+        # '/' divides by one letter, not by the run after it
+        ("weyl", "x1 / x2 x1", "division by a non-scalar expression", 5),
         ("iqg", "B1 B2 B9", "index out of range: B9 (nodes run 1..4)", 6),
         ("poly", "X1 X2^-1", "negative exponent on X2", 3),
         # an operator needs a factor after it: term := factor (('*' | '/')? factor)*

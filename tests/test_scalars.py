@@ -379,6 +379,37 @@ def test_from_shape_round_trip():
     assert _expand((2, -1), 3, 2, 1, (1, 0, 1)) == p_mul((2, -1), _expand(P_ONE, 3, 2, 1, (1, 0, 1)))
 
 
+def test_expand_matches_factor_by_factor_products_random():
+    # _expand writes (q - 1)^a (q + 1)^b down from binomial coefficients;
+    # the reference multiplies by c, each factor q -+ 1 and r one at a time
+    rng = random.Random(4711)
+    seen = set()
+    for _ in range(300):
+        p = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 4))) + (rng.choice((1, -2, 3)),)
+        c = rng.choice((1, 1, 2, 3, 12))
+        a, b = rng.randint(0, 9), rng.randint(0, 9)
+        r = P_ONE if rng.random() < 0.5 else p_mul(rng.choice(UNSHAPED), rng.choice(UNSHAPED))
+        want = _times(_times(tuple(x * c for x in p), Q_MINUS_1, a), Q_PLUS_1, b)
+        assert _expand(p, c, a, b, r) == p_mul(want, r), (p, c, a, b, r)
+        seen.add((a != b, c != 1, r != P_ONE, p != P_ONE))
+    assert (True, True, True, True) in seen
+
+
+def test_gcd_degree_limit():
+    # p_gcd refuses operands whose degrees, q-powers removed, have a product
+    # above the limit, before its remainder sequence runs
+    n = scalars.MAX_GCD_DEGREES
+    assert n == 100 * 100
+    deg100 = (1,) + (0,) * 99 + (1,)  # q^100 + 1
+    deg101 = (1,) * 102
+    assert p_gcd(deg100, p_shift(deg100, 7)) == deg100
+    assert p_gcd(deg101, (1, 1)) == (1, 1)
+    with pytest.raises(ValueError, match="degrees 101 and 100, above the limit of %d" % n):
+        p_gcd(deg101, deg100)
+    with pytest.raises(ValueError, match="degrees 100 and 101"):
+        p_gcd(p_shift(deg100, 3), deg101)
+
+
 def _rand_num(rng):
     n = rng.randint(1, 6)
     p = tuple(rng.randint(-9, 9) for _ in range(n - 1)) + (rng.choice((1, -1, 2, -5)),)

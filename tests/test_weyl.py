@@ -419,10 +419,8 @@ def test_index_product_matches_the_left_rule():
             for t1 in triples:
                 for t2 in triples:
                     word = weyl._triple_word(t1) + weyl._triple_word(t2)
-                    state = (0, 0, 0, {0: (0, scalars.P_ONE)})
-                    for name in reversed(word):
-                        state = weyl._append_left(k, state, name)
-                    a, b, n, terms = state
+                    unit = (0, 0, 0, {0: (0, scalars.P_ONE)})
+                    a, b, n, terms = weyl._append_left(k, unit, word[::-1])
                     # the state stands for (q - q^-1)^-n sum_c q^lo cs(q) x^a d^b m^c
                     expect = {
                         (a, b, c): qpow(lo) * QScalar(cs) * QD**n
