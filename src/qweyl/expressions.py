@@ -11,6 +11,20 @@ shares the contract of Terms.
 from . import scalars
 from .scalars import QScalar
 
+# Most terms a power of an element may expand to before like terms collect:
+# an n-term element to the k has n^k words, at most that many terms for free
+# expressions and usually far more than the collected Weyl or polynomial
+# terms.  On a shared 2-core x86 host (x1 + d1 + x2 + d2)^8, 4^8 words, takes
+# 0.03 s; (B1 + B2)^16, 2^16 free words, 0.2 s and 35 MB;
+# (x1 + d1 + x2 + d2)^20 ran 4.5 s and 112 MB.  A product or q-commutator of
+# two elements is held to the same limit on its term pairs: the product of
+# two 425-term powers (x1 + d1 + x2 + d2)^8 ran 11 s and 48 MB.  So is a
+# word under a free substitution (iqg.ISubst), on the product of its letter
+# images' term counts: tau_1(B2) has 5 words at imath rank 1, and B2^7,
+# 5^7 words, ran 1.3 s, 65 MB and printed 5.0 MB; B2^8 6.0 s and 295 MB.
+# The parser reads it as parser.MAX_POWER_TERMS.
+MAX_POWER_TERMS = 4 ** 8
+
 
 def acc(out, key, coeff):
     """Add coeff into the dict of terms out at key; a sum that cancels drops the key."""

@@ -12,7 +12,7 @@ table, which keeps the work linear in the composite length.
 import functools
 
 from . import operators
-from .expressions import FreeExpr, _free_mul_terms, letter_tag, qcomm
+from .expressions import MAX_POWER_TERMS, FreeExpr, _free_mul_terms, letter_tag, qcomm
 from .report import aggregate_check, equality_check, pointwise, skipped_check
 from .satake import BRAID_KINDS, KIND_MARKS, braid_relation_checks, cartan
 from .scalars import qpow
@@ -96,7 +96,10 @@ class ISubst(EndoSpec):
     """A substitution on B/K letters with free-expression images.
 
     It shares EndoSpec's word walk and term collection, with the free
-    algebra's unit and product rule on term dicts.
+    algebra's unit and product rule on term dicts.  A free product keeps
+    every word, so a word's image has as many words as its letter images'
+    term counts multiply to: past MAX_POWER_TERMS the word is refused
+    before any image is multiplied.
     """
 
     __slots__ = ()
@@ -105,6 +108,17 @@ class ISubst(EndoSpec):
         return FreeExpr.from_scalar(coeff).terms
 
     _mul = staticmethod(_free_mul_terms)
+
+    def _word_image(self, word, coeff):
+        n = 1
+        for letter in word:
+            n *= len(self.image(letter).terms)
+            if n > MAX_POWER_TERMS:
+                raise ValueError(
+                    "substitution expands a word of %d letters to more than %d words"
+                    % (len(word), MAX_POWER_TERMS)
+                )
+        return super()._word_image(word, coeff)
 
     def apply(self, expr):
         """Free composition: substitute every letter, reverse words if anti."""

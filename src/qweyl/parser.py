@@ -29,7 +29,7 @@ an element, and is lifted as the empty word.
 """
 
 from . import iqg, scalars
-from .expressions import FreeExpr, qcomm
+from .expressions import MAX_POWER_TERMS, FreeExpr, qcomm
 from .polymod import PolyElement
 from .weyl import reduce_word, validate_letter
 
@@ -40,16 +40,6 @@ _CONTEXTS = {"weyl": "dxm", "iqg": "BK", "poly": "X"}
 # eagerly ((q+1)^k has k + 1 coefficients, x1^k is a word of k letters), so
 # unbounded input could exhaust memory.
 MAX_EXPONENT = 1000
-
-# Most terms a power of an element may expand to before like terms collect:
-# an n-term element to the k has n^k words, at most that many terms for free
-# expressions and usually far more than the collected Weyl or polynomial
-# terms.  On a shared 2-core x86 host (x1 + d1 + x2 + d2)^8, 4^8 words, takes
-# 0.03 s; (B1 + B2)^16, 2^16 free words, 0.2 s and 35 MB;
-# (x1 + d1 + x2 + d2)^20 ran 4.5 s and 112 MB.  A product or q-commutator of
-# two elements is held to the same limit on its term pairs: the product of
-# two 425-term powers (x1 + d1 + x2 + d2)^8 ran 11 s and 48 MB.
-MAX_POWER_TERMS = 4 ** 8
 
 
 class ParseError(ValueError):

@@ -114,18 +114,38 @@ def _prem(a, b):
 # Largest product of the degrees of p_gcd's two operands, q-powers removed.
 # The remainder sequence takes about deg a * deg b steps on integers that
 # grow with both degrees, so two large cofactors are refused before it runs.
-# On a shared 2-core x86 host, gcds within the limit took at most 2.6 s
-# ((q+2)^1000 against (1000q+3)^10; (q+2)^100 against (q+3)^100 0.01 s,
-# (70, 140) in 1/(2q+3)^70 + 1/(3q+5)^70 1.1 s); past it, (1000, 100) in
-# (q+2)^1000/(7q+3)^100 took 22 s and 1/(q+2)^300 + 1/(q+3)^300 over 10 s.
+# On a shared 2-core x86 host, (q+2)^100 against (q+3)^100 took 0.01 s
+# within the limit; past it, (1000, 100) in (q+2)^1000/(7q+3)^100 took 22 s
+# and 1/(q+2)^300 + 1/(q+3)^300 over 10 s.  Within it, (q+2)^1000 against
+# (1000q+3)^10 (2.6 s) and (70, 140) in 1/(2q+3)^70 + 1/(3q+5)^70 (1.1 s)
+# are refused by MAX_GCD_BITS below.
 MAX_GCD_DEGREES = 100 * 100
+
+# Largest size db * bits(A) + da * bits(B) of p_gcd's primitive operands A
+# and B, of degrees da and db, bits(p) the bit length of p's largest
+# coefficient.  It bounds, about, the bits of the remainder sequence's
+# coefficients, and a pseudo-remainder of A by B scales A by lc(B) once per
+# degree it drops, so a wide leading coefficient costs time at any degree.
+# On a shared 2-core x86 host, gcds within the limit: (q+2)^100 against
+# (q+3)^100 (size 35,200) 0.01 s, against 2^397 q + 1 (39,955) 0.03 s, two
+# dense degree-100 polynomials of 176-bit coefficients (35,200) 9.7 s and of
+# 200-bit ones (40,000) 12 s; past it, (q+2)^100 against (7^300 q + 1)^4
+# (337,520) 1.6 s, against (N q + 1)^4, N a 300-digit integer, (399,120)
+# 2.2 s, the time growing as the square of N's digits, and two dense
+# degree-100 polynomials of 600-bit coefficients (120,000) 98 s.
+MAX_GCD_BITS = 40000
+
+
+def _bits(a):
+    return max(map(abs, a)).bit_length()
 
 
 def p_gcd(a, b):
     """Gcd in Z[q], positive leading coefficient, integer content included.
 
     Raises ValueError when the product of the operands' degrees, q-powers
-    removed, is above MAX_GCD_DEGREES.
+    removed, is above MAX_GCD_DEGREES, or when their primitive parts' sizes
+    combine past MAX_GCD_BITS.
     """
     if not a:
         return _pos(b) if b else P_ZERO
@@ -145,6 +165,14 @@ def p_gcd(a, b):
     c = math.gcd(p_content(sa), p_content(sb))
     A = _pp(sa)
     B = _pp(sb)
+    da, db = len(A) - 1, len(B) - 1
+    ba, bb = _bits(A), _bits(B)
+    size = db * ba + da * bb
+    if size > MAX_GCD_BITS:
+        raise ValueError(
+            "gcd of polynomials of degrees %d and %d with %d- and %d-bit coefficients,"
+            " size %d above the limit of %d" % (da, db, ba, bb, size, MAX_GCD_BITS)
+        )
     if len(A) < len(B):
         A, B = B, A
     while B:
@@ -280,6 +308,10 @@ def _den_mul(d1, d2):
 
 
 def _den_lcm(d1, d2):
+    if d1 == D_ONE or d1 == d2:
+        return d2
+    if d2 == D_ONE:
+        return d1
     c1, a1, b1, r1 = d1
     c2, a2, b2, r2 = d2
     if r1 == P_ONE or r2 == P_ONE:

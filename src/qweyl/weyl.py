@@ -19,6 +19,7 @@ import itertools
 from . import scalars
 from .expressions import FreeExpr, Terms, acc, letter_tag
 from .report import Check, equality_check
+from .satake import Variant
 from .scalars import P_ONE, laurent_times, p_mul, p_neg, p_trim, p_val, qpow
 
 WEYL_LETTER_NAMES = ("d", "x", "m", "mi")
@@ -190,12 +191,22 @@ def _index_product(k, t1, t2):
     return tuple(pairs)
 
 
+# The (position, weight, triple) entries of a right factor's monomial other
+# than (0, 0, 0), shared by every product that has it on the right.  The
+# kind and the monomial's length fix each index's weight.
+@functools.lru_cache(maxsize=1 << 16)
+def _mono_support(kind, mono):
+    v = Variant(kind, len(mono) - 1)
+    return tuple((p, v.kappa(p + 1), t) for p, t in enumerate(mono) if t != (0, 0, 0))
+
+
 def _mul_terms(v, terms1, terms2):
     """The terms of the product of two elements of variant v, given their terms."""
     one = scalars.ONE
+    kind = v.kind
     out = {}
     for mono2, c2 in terms2.items():
-        support = [(p, v.kappa(p + 1), t) for p, t in enumerate(mono2) if t != (0, 0, 0)]
+        support = _mono_support(kind, mono2)
         for mono1, c1 in terms1.items():
             c = c1 if c2 is one else c2 if c1 is one else c1 * c2
             # partial products over the indices done so far; usually one
@@ -226,6 +237,8 @@ def _triple_word(t):
     return ("x",) * a + ("d",) * b + (("m",) * c if c > 0 else ("mi",) * -c)
 
 
+# memoised: a substitution reads the word of the same few monomials over and over
+@functools.lru_cache(maxsize=1 << 16)
 def mono_word(mono):
     """Canonical letter word of a monomial: per index x, then d, then m."""
     return tuple(
@@ -553,11 +566,19 @@ def check_well_defined_one(spec, prefix, relations, seen):
     A record depends on the table only through the images of its relation's
     letters, the two flags and the label, which reaches only the
     description.  seen, one dict shared by the calls over one relation
-    list, interns each letter image (with its variant) to an int and keeps
-    the rendered sides and status per (relation id, flags, letter ints), so
-    a relation whose letters two tables map alike is evaluated once.
+    list, keeps under the key None that list and each relation's letters,
+    read once, interns each letter image (with its variant) to an int and
+    keeps the rendered sides and status per (relation id, flags, letter
+    ints), so a relation whose letters two tables map alike is evaluated
+    once.
     """
     v = spec.variant
+    kept = seen.get(None)
+    if kept is None or kept[0] is not relations:
+        kept = seen[None] = relations, [
+            tuple(l for side in (lhs, rhs) for word in side.terms for l in word)
+            for _, _, lhs, rhs in relations
+        ]
     ids = {}
 
     def letter_id(letter):
@@ -570,10 +591,8 @@ def check_well_defined_one(spec, prefix, relations, seen):
     flags = (spec.antimultiplicative, spec.bar_twist)
     label = spec.label
     checks = []
-    for rid, desc, lhs, rhs in relations:
-        key = (rid, flags) + tuple(
-            letter_id(l) for side in (lhs, rhs) for word in side.terms for l in word
-        )
+    for (rid, desc, lhs, rhs), letters in zip(relations, kept[1]):
+        key = (rid, flags) + tuple(map(letter_id, letters))
         desc = "%s preserves %s" % (label, desc)
         texts = seen.get(key)
         if texts is None:

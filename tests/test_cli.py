@@ -406,6 +406,63 @@ def test_gcd_limit_boundary(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, expr
 
 
+def test_hostile_gcd_coefficients_are_rejected(capsys):
+    # degrees within MAX_GCD_DEGREES, but a wide leading coefficient: each
+    # pseudo-remainder step multiplies by it, and p_gcd refuses the
+    # operands' combined size before its remainder sequence runs
+    n = scalars.MAX_GCD_BITS
+    N = "7" * 300
+    for expr, sizes in (
+        ("(q+2)^100/(%s q+1)^4" % N, (100, 4, 155, 3985)),
+        ("(q+2)^100/(7^300 q+1)^4", (100, 4, 155, 3369)),
+        ("(q+2)^100/(2^398 q+1)", (100, 1, 155, 399)),
+    ):
+        da, db, ba, bb = sizes
+        size = db * ba + da * bb
+        assert size > n
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["normalize", expr, "--variant", "jmath", "--rank", "1"])
+        assert rc == 2 and out == "", expr
+        assert "degrees %d and %d with %d- and %d-bit coefficients" % sizes in err
+        assert "size %d above the limit of %d" % (size, n) in err
+        assert time.perf_counter() - t0 < 0.5
+
+
+def test_gcd_coefficient_limit_boundary(capsys):
+    # size 1 * 155 + 100 * 398 = 39,955 is within the limit, and prints the
+    # bytes it printed before the limit existed
+    assert 155 + 100 * 398 <= scalars.MAX_GCD_BITS < 155 + 100 * 399
+    rc, out, err = run(capsys, ["normalize", "(q+2)^100/(2^397 q+1)", "--variant", "jmath", "--rank", "1"])
+    assert rc == 0, err
+    digest = "1febad3d2cfdd87e73e8462407620c35dc3866d23ed598829a77198e7f106ac5"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+TAU_B2 = ["--op", "tau", "--i", "1", "--variant", "imath", "--rank", "1"]
+
+
+def test_hostile_free_substitution_is_rejected(capsys):
+    # tau_1(B2) has 5 free words at imath rank 1, so B2^k maps to 5^k words
+    # that do not collect; the word is refused before any image is multiplied
+    for k in (7, 10, 1000):
+        assert 5**k > parser.MAX_POWER_TERMS
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["apply", "B2^%d" % k] + TAU_B2)
+        assert rc == 2 and out == ""
+        assert "word of %d letters to more than %d words" % (k, parser.MAX_POWER_TERMS) in err
+        assert time.perf_counter() - t0 < 0.5
+
+
+def test_free_substitution_limit_boundary(capsys):
+    # 5^6 words are within the limit, and print the bytes they printed
+    # before the limit existed
+    assert 5**6 <= parser.MAX_POWER_TERMS < 5**7
+    rc, out, err = run(capsys, ["apply", "B2^6"] + TAU_B2)
+    assert rc == 0, err
+    digest = "1320e0f89a41bd5c6adeef46926e76509c37ee856ba639cadac79d1e80aa7eda"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_mutation_fails_verify(capsys, monkeypatch):
     real = operators.braid_op
 

@@ -410,6 +410,21 @@ def test_gcd_degree_limit():
         p_gcd(p_shift(deg100, 3), deg101)
 
 
+def test_gcd_coefficient_limit():
+    # p_gcd refuses primitive parts whose size deg b * bits(A) + deg a * bits(B)
+    # is above the limit; integer content does not count
+    n = scalars.MAX_GCD_BITS
+    a = (1,) * 101  # degree 100, 1-bit coefficients
+    wide = (1, 2**400 - 1)  # degree 1, 400-bit coefficients
+    assert 1 * 1 + 100 * 400 > n >= 1 * 1 + 100 * 399
+    assert p_gcd(a, (1, 2**399 - 1)) == (1,)
+    assert p_gcd(tuple(7**500 * x for x in a), (7**500, 7**500)) == (7**500,)
+    with pytest.raises(ValueError, match="size %d above the limit of %d" % (1 + 100 * 400, n)):
+        p_gcd(a, wide)
+    with pytest.raises(ValueError, match="degrees 1 and 100 with 400- and 1-bit"):
+        p_gcd(p_shift(wide, 2), p_shift(a, 5))
+
+
 def _rand_num(rng):
     n = rng.randint(1, 6)
     p = tuple(rng.randint(-9, 9) for _ in range(n - 1)) + (rng.choice((1, -1, 2, -5)),)
@@ -530,11 +545,20 @@ def _lcm(a, b):
 
 def test_lcm_of_shapes_matches_gcd_formula():
     rng = random.Random(77)
+    pairs = []
     for _ in range(200):
         # shaped pairs, and pairs with cofactors r != 1
         draw = _rand_shaped_den if rng.random() < 0.5 else _rand_den
-        a = draw(rng)
-        b = draw(rng)
+        pairs.append((draw(rng), draw(rng)))
+    # a unit operand (D_ONE once q-powers are split off) on either side, and
+    # equal operands whose cofactor r is not 1
+    dens = [_shaped(6, 2, 1), p_mul(_shaped(2, 0, 3), (1, 0, 1)), (1, 1, 1), (-1, 1, 1)]
+    for d in dens:
+        pairs += [((1,), d), (d, (1,)), ((0, 0, 1), d), (d, (0, 1))]
+    for d in dens[1:]:
+        assert _split(d[p_val(d):])[3] != P_ONE
+        pairs.append((d, d))
+    for a, b in pairs:
         if a[-1] < 0:
             a = p_neg(a)
         if b[-1] < 0:

@@ -408,6 +408,37 @@ def test_reduce_word_matches_generator_products_random():
     assert top > 50
 
 
+def test_monomial_tables_are_bounded():
+    for table in (weyl._mono_support, weyl.mono_word):
+        assert table.cache_info().maxsize is not None
+
+
+def test_monomial_tables_match_direct_computation_random():
+    # every monomial of random elements, read through the tables (filled by
+    # earlier lookups or now), against its triples read directly
+    rng = random.Random(3141)
+    for kind in ("jmath", "imath"):
+        for rank in (1, 2, 3, 4):
+            v = Variant(kind, rank)
+            monos = set()
+            for _ in range(12):
+                a = _random_elem(rng, v, nwords=3, maxlen=6)
+                monos.update((a * _random_elem(rng, v)).terms)
+            assert len(monos) > 20
+            for mono in monos:
+                support = tuple(
+                    (p, v.kappa(p + 1), t) for p, t in enumerate(mono) if t != (0, 0, 0)
+                )
+                assert weyl._mono_support(kind, mono) == support
+                word = tuple(
+                    (name, p + 1)
+                    for p, (a, b, c) in enumerate(mono)
+                    for name in ("x",) * a + ("d",) * b + (("m",) * c if c > 0 else ("mi",) * -c)
+                )
+                assert mono_word(mono) == word
+                assert reduce_word(v, word).terms == {mono: scalars.ONE}
+
+
 def test_index_product_matches_the_left_rule():
     # _index_product is filled from _append_right; replay t1 t2 with the
     # other one-index rule, from the right end
