@@ -153,8 +153,51 @@ def act_word(v, word, poly):
     return poly
 
 
-# Always empty, as action_rule keeps no table; perfbench/tracing.py reads the name.
+# Always empty, as action_rule keeps no table of its own; perfbench/tracing.py
+# reads the name.
 _ACT_CACHE = {}
+
+# Largest q-degree of the weight action_rule applies to one term, the
+# product over its indices of the falling weights [k t][k (t - 1)]...
+# [k (t - be + 1)].  Multiplying out a weight of degree D takes time about
+# D^2 whatever its shape, so a larger one is refused before it is built.  On
+# a shared 2-core x86 host, single weights of degree near 10,000 took
+# 0.7-2.4 s to build; unrefused, d2^10 on X2^300 (degree 11,800) ran 2.0 s,
+# d1^10 on X1^1000 (19,890) 5.8 s and d1^20 on X1^1000 (39,580) past 20 s,
+# and d1^10 d2^10 on X1^505 X2^255, whose two weights are each within the
+# limit but multiply to degree 19,990, 9.2 s.  The module grids of degree
+# at most 9 need weights of degree 80 at most.
+MAX_WEIGHT_DEGREE = 10000
+
+
+def _falling_degree(k, t, be):
+    """The q-degree of [k t][k (t - 1)]...[k (t - be + 1)], each [n] of degree 2 n - 2."""
+    return be * (k * (2 * t - be + 1) - 2)
+
+
+def _check_weight_degree(degree):
+    if degree > MAX_WEIGHT_DEGREE:
+        raise ValueError(
+            "module action weight of q-degree %d, above the limit of %d"
+            % (degree, MAX_WEIGHT_DEGREE)
+        )
+
+
+@functools.lru_cache(maxsize=1024)
+def _falling_weight(k, t, be):
+    """(lo, cs) with q^lo cs(q) = [k t][k (t - 1)]...[k (t - be + 1)], 0 < be <= t.
+
+    One pair is shared by every action_rule that meets (k, t, be).  Raises
+    ValueError, before multiplying, when cs would have degree above
+    MAX_WEIGHT_DEGREE.
+    """
+    _check_weight_degree(_falling_degree(k, t, be))
+    lo, cs = 0, P_ONE
+    for n in range(k * (t - be + 1), k * t + 1, k):
+        nlo, ncs = qint_laurent(n)
+        lo += nlo
+        cs = p_mul(cs, ncs)
+    return lo, cs
 
 
 def action_rule(v, elem):
@@ -165,10 +208,12 @@ def action_rule(v, elem):
     their weights.  At an index of weight k where a has entry t the monomial
     sends X^a to q^(ga k t) [k t][k (t - 1)]...[k (t - be + 1)] X^a with
     that entry replaced by t - be + al, and annihilates X^a when t < be.
-    That weight is kept as an integer Laurent polynomial q^lo cs(q) and
-    applied to the coefficient in one step, a shift of its exponent when cs
-    is +-1.  Two monomials may send two vectors to one: such terms add, and
-    a sum that cancels drops its key.
+    That weight is kept as an integer Laurent polynomial q^lo cs(q), its
+    falling part read from _falling_weight, and applied to the coefficient
+    in one step, a shift of its exponent when cs is +-1.  A weight of
+    degree above MAX_WEIGHT_DEGREE raises ValueError before it is
+    multiplied out.  Two monomials may send two vectors to one: such terms
+    add, and a sum that cancels drops its key.
     """
     v.check_variant(elem.variant)
     one = scalars.ONE
@@ -193,10 +238,13 @@ def action_rule(v, elem):
                     if t < be:
                         break
                     lo += ga * k * t
-                    for n in range(k * (t - be + 1), k * t + 1, k):
-                        nlo, ncs = qint_laurent(n)
-                        lo += nlo
-                        cs = p_mul(cs, ncs)
+                    if be:
+                        if cs is not P_ONE:
+                            # the product's degree, before its next factor is built
+                            _check_weight_degree(len(cs) - 1 + _falling_degree(k, t, be))
+                        wlo, wcs = _falling_weight(k, t, be)
+                        lo += wlo
+                        cs = wcs if cs is P_ONE else p_mul(cs, wcs)
                     b[p] = t - be + al
                 else:
                     # grid monomials and most letter images carry the coefficient 1

@@ -57,6 +57,12 @@ def validate_letter(v, name, idx):
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _weyl_letters(rank):
+    """Every letter (name, index) that validate_letter accepts at this rank."""
+    return frozenset(itertools.product(WEYL_LETTER_NAMES, range(1, rank + 2)))
+
+
 # A one-index state (a, b, n, terms) stands for
 #
 #     (q - q^-1)^-n * sum over c of L_c(q) * x^a d^b m^c,
@@ -339,8 +345,11 @@ def reduce_word(v, word, coeff=scalars.ONE, strategy="left"):
         rule, letters = _append_left, reversed(word)
     else:
         raise ValueError("unknown strategy %r" % (strategy,))
-    for name, idx in word:
-        validate_letter(v, name, idx)
+    # one set test for the whole word; only a word that fails it is walked
+    # letter by letter, so the first bad letter is the one named
+    if not _weyl_letters(v.rank).issuperset(word):
+        for name, idx in word:
+            validate_letter(v, name, idx)
     if isinstance(coeff, int):
         coeff = scalars.from_int(coeff)
     if coeff.is_zero:

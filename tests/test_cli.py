@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qweyl import cli, operators, parser, scalars, weyl
+from qweyl import cli, operators, parser, polymod, scalars, weyl
 from qweyl.cli import main
 from qweyl.weyl import EndoSpec
 
@@ -436,6 +436,43 @@ def test_gcd_coefficient_limit_boundary(capsys):
     assert rc == 0, err
     digest = "1febad3d2cfdd87e73e8462407620c35dc3866d23ed598829a77198e7f106ac5"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# X1^5000 and X1^5001; the parser allows exponents up to 1000
+X1_5000 = " ".join(["X1^1000"] * 5)
+X1_5001 = X1_5000 + " X1"
+
+
+def test_hostile_module_weight_is_rejected(capsys):
+    # [t] has q-degree 2 t - 2, and d1^20 on X1^1000 has a weight of
+    # degree 39,580 that ran past 20 s; it is refused before it is built.
+    # d1 d2 on X1^5001 X2 has weights of degrees 10,000 and 2, each within
+    # the limit: their product is refused before it is multiplied.
+    n = polymod.MAX_WEIGHT_DEGREE
+    for expr, on, degree in (
+        ("d1^20", "X1^1000", 39580),
+        ("d1", X1_5001 + " X1", n + 2),
+        ("d1 d2", X1_5001 + " X2", n + 2),
+    ):
+        assert degree > n
+        t0 = time.perf_counter()
+        rc, out, err = run(capsys, ["act", expr, "--on", on, "--variant", "jmath", "--rank", "1"])
+        assert rc == 2 and out == "", (expr, on)
+        assert "q-degree %d, above the limit of %d" % (degree, n) in err
+        assert time.perf_counter() - t0 < 0.5
+
+
+def test_module_weight_limit_boundary(capsys):
+    # weights of degree 10,000, one alone and one times [2], are within the
+    # limit, and print the bytes they printed before the limit existed
+    assert polymod.MAX_WEIGHT_DEGREE == 10000
+    for expr, on, digest in (
+        ("d1", X1_5001, "7ece6348d3360ed51ca966d3e074dc3e2e5cd67a6ec1b95d8adf938f22f63335"),
+        ("d1 d2", X1_5000 + " X2", "db007415843e8c1b1c525b6af609de47991278cfc89dbe4d4ed975c0a6463d63"),
+    ):
+        rc, out, err = run(capsys, ["act", expr, "--on", on, "--variant", "jmath", "--rank", "1"])
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (expr, on)
 
 
 TAU_B2 = ["--op", "tau", "--i", "1", "--variant", "imath", "--rank", "1"]

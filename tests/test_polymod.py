@@ -659,6 +659,37 @@ def test_action_matches_letter_by_letter_on_scaled_grids():
     assert act(J2, dd, mono(J2, (1, 0, 2))) == mono(J2, (1, 0, 0), qint(4) * qint(2))
 
 
+def test_falling_weight_is_the_product_of_its_quantum_integers():
+    for k in (1, 2):
+        for t in range(1, 13):
+            for be in range(1, t + 1):
+                lo, cs = 0, scalars.P_ONE
+                for j in range(be):
+                    nlo, ncs = scalars.qint_laurent(k * (t - j))
+                    lo += nlo
+                    cs = scalars.p_mul(cs, ncs)
+                assert polymod._falling_weight(k, t, be) == (lo, cs), (k, t, be)
+                assert len(cs) - 1 == polymod._falling_degree(k, t, be)
+    # a bounded table, like _tcal_weight's
+    assert polymod._falling_weight.cache_info().maxsize == 1024
+
+
+def test_module_homomorphism_fails_on_a_wrong_falling_weight(monkeypatch):
+    # the letter-by-letter side does not read the table, so a wrong weight
+    # shows as a failing word check
+    real = polymod._falling_weight
+
+    def wrong(k, t, be):
+        lo, cs = real(k, t, be)
+        return lo + 1, cs
+
+    monkeypatch.setattr(polymod, "_falling_weight", wrong)
+    for v in (J1, I2):
+        checks = polymod.check_module_homomorphism(v, 2)
+        failed = [c.id for c in checks if c.status == FAIL]
+        assert any(cid.startswith("module-homomorphism/word/") for cid in failed), v
+
+
 def _ref_action(v, elem, poly):
     """elem . poly by the monomial rule, in plain QScalar products and sums."""
     out = {}

@@ -272,7 +272,23 @@ def test_errors():
             reduce_word(J2, (("d", 1), ("x", 4)), strategy=strategy)
         with pytest.raises(ValueError, match="unknown generator"):
             reduce_word(J2, (("y", 1),), strategy=strategy)
+        # of two bad letters, the first is named
+        with pytest.raises(ValueError, match="unknown generator 'y1'"):
+            reduce_word(J2, (("x", 1), ("y", 1), ("x", 1), ("d", 4)), strategy=strategy)
+        with pytest.raises(ValueError, match="index out of range: d4"):
+            reduce_word(J2, (("d", 4), ("x", 1), ("y", 1), ("d", 4)), strategy=strategy)
     assert unit_mono(J1) == ((0, 0, 0), (0, 0, 0))
+    # reduce_word's one set test accepts exactly the letters that
+    # validate_letter accepts
+    for v in (J1, J2, I2):
+        for name in weyl.WEYL_LETTER_NAMES + ("y", "X"):
+            for idx in range(-1, v.rank + 4):
+                try:
+                    weyl.validate_letter(v, name, idx)
+                    valid = True
+                except ValueError:
+                    valid = False
+                assert ((name, idx) in weyl._weyl_letters(v.rank)) == valid, (v, name, idx)
 
 
 def _triples(maxexp=3):
