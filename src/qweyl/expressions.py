@@ -118,6 +118,14 @@ class Terms:
     def __rsub__(self, other):
         return (-self) + other
 
+    def __mul__(self, other):
+        if isinstance(other, (int, QScalar)):
+            return self.scale(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._new(self._join(self.terms, other.terms))
+
     def __rmul__(self, other):
         if isinstance(other, (int, QScalar)):
             return self.scale(other)
@@ -167,6 +175,15 @@ class FreeExpr(Terms):
         return ()
 
     @staticmethod
+    def _join(t1, t2):
+        """Word concatenation: every pair of words is a word of the product."""
+        out = {}
+        for w1, c1 in t1.items():
+            for w2, c2 in t2.items():
+                acc(out, w1 + w2, c1 * c2)
+        return out
+
+    @staticmethod
     def _label(word):
         """Letter tags, inverse letters spelled as powers (K1^-1)."""
         return " ".join(map(letter_tag, word))
@@ -210,11 +227,7 @@ class FreeExpr(Terms):
         return Terms.__rsub__(self, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, QScalar)):
-            return self.scale(other)
-        if not isinstance(other, FreeExpr):
-            return NotImplemented
-        return FreeExpr(_free_mul_terms(self.terms, other.terms))
+        return Terms.__mul__(self, other)
 
     def __rmul__(self, other):
         return Terms.__rmul__(self, other)
@@ -224,15 +237,6 @@ class FreeExpr(Terms):
 
     def __pow__(self, k):
         return Terms.__pow__(self, k)
-
-
-def _free_mul_terms(t1, t2):
-    """The terms of the product of two free expressions, given their terms."""
-    out = {}
-    for w1, c1 in t1.items():
-        for w2, c2 in t2.items():
-            acc(out, w1 + w2, c1 * c2)
-    return out
 
 
 def letter_tag(letter):

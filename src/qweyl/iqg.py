@@ -12,7 +12,7 @@ table, which keeps the work linear in the composite length.
 import functools
 
 from . import operators
-from .expressions import MAX_POWER_TERMS, FreeExpr, _free_mul_terms, letter_tag, qcomm
+from .expressions import MAX_POWER_TERMS, FreeExpr, letter_tag, qcomm
 from .report import aggregate_check, equality_check, pointwise, skipped_check
 from .satake import BRAID_KINDS, KIND_MARKS, braid_relation_checks, cartan
 from .scalars import qpow
@@ -95,8 +95,8 @@ def phi(v, expr):
 class ISubst(EndoSpec):
     """A substitution on B/K letters with free-expression images.
 
-    It shares EndoSpec's word walk and term collection, with the free
-    algebra's unit and product rule on term dicts.  A free product keeps
+    It shares EndoSpec's word walk and term collection, which multiply
+    through the free images' own product rule.  A free product keeps
     every word, so a word's image has as many words as its letter images'
     term counts multiply to: past MAX_POWER_TERMS the word is refused
     before any image is multiplied.
@@ -104,10 +104,7 @@ class ISubst(EndoSpec):
 
     __slots__ = ()
 
-    def _unit(self, coeff):
-        return FreeExpr.from_scalar(coeff).terms
-
-    _mul = staticmethod(_free_mul_terms)
+    _empty = staticmethod(FreeExpr)
 
     def _word_image(self, word, coeff):
         n = 1

@@ -61,16 +61,13 @@ def braid_op(v, i, e, kind):
     elif pinned:
         images[("d", r + 1)] = _mword(v, 0, 1, [(r + 1, -e)], ("d", r + 1))
         images[("x", r + 1)] = _mword(v, -e, 1, [(r + 1, e)], ("x", r + 1))
-    elif kind == "prime":
-        images[("d", i + 1)] = _mword(v, -e, -1, [(i + 1, -e)], ("d", i))
-        images[("d", i)] = _mword(v, 0, 1, [(i, -e)], ("d", i + 1))
-        images[("x", i + 1)] = _mword(v, e, -1, [(i + 1, e)], ("x", i))
-        images[("x", i)] = _mword(v, 0, 1, [(i, e)], ("x", i + 1))
     else:
-        images[("d", i + 1)] = _mword(v, 0, 1, [(i + 1, -e)], ("d", i))
-        images[("d", i)] = _mword(v, -e, -1, [(i, -e)], ("d", i + 1))
-        images[("x", i + 1)] = _mword(v, 0, 1, [(i + 1, e)], ("x", i))
-        images[("x", i)] = _mword(v, e, -1, [(i, e)], ("x", i + 1))
+        # the kinds differ only in which index's images carry the sign and q-power
+        signed = i + 1 if kind == "prime" else i
+        for j, target in ((i + 1, i), (i, i + 1)):
+            sign, qe = (-1, e) if j == signed else (1, 0)
+            images[("d", j)] = _mword(v, -qe, sign, [(j, -e)], ("d", target))
+            images[("x", j)] = _mword(v, qe, sign, [(j, e)], ("x", target))
     return EndoSpec(v, images, label="T%s_{%d,%+d}" % (KIND_MARKS[kind], i, e))
 
 

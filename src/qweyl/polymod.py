@@ -14,7 +14,7 @@ import functools
 import itertools
 import random
 
-from . import iqg, operators, scalars
+from . import iqg, operators, scalars, weyl
 from .expressions import Terms, acc, letter_tag
 from .report import aggregate_check, aggregate_record, pointwise
 from .satake import BRAID_KINDS as TCAL_KINDS
@@ -51,6 +51,15 @@ class PolyElement(Terms):
     _label = staticmethod(_exps_str)
 
     @staticmethod
+    def _join(t1, t2):
+        """Exponent sums: every pair of monomials multiplies to one monomial."""
+        out = {}
+        for a, c in t1.items():
+            for b, d in t2.items():
+                acc(out, tuple(x + y for x, y in zip(a, b)), c * d)
+        return out
+
+    @staticmethod
     def unit(variant):
         return PolyElement(variant, {}).constant(scalars.ONE)
 
@@ -84,16 +93,7 @@ class PolyElement(Terms):
         return Terms.scale(self, s)
 
     def __mul__(self, other):
-        if isinstance(other, (int, scalars.QScalar)):
-            return self.scale(other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for a, c in self.terms.items():
-            for b, d in other.terms.items():
-                acc(out, tuple(x + y for x, y in zip(a, b)), c * d)
-        return PolyElement(self.variant, out)
+        return Terms.__mul__(self, other)
 
 
 def _on_polys(v, rule):
@@ -204,10 +204,11 @@ def action_rule(v, elem):
     """An element's rule on terms, {exponent vector: QScalar} -> such a dict.
 
     The element's variant is checked here, once, and each canonical monomial
-    x^al d^be m^ga is kept with its coefficient and its support triples and
-    their weights.  At an index of weight k where a has entry t the monomial
-    sends X^a to q^(ga k t) [k t][k (t - 1)]...[k (t - be + 1)] X^a with
-    that entry replaced by t - be + al, and annihilates X^a when t < be.
+    x^al d^be m^ga is kept with its coefficient and its (position, weight,
+    triple) entries, read from weyl._mono_support.  At an index of weight k
+    where a has entry t the monomial sends X^a to
+    q^(ga k t) [k t][k (t - 1)]...[k (t - be + 1)] X^a with that entry
+    replaced by t - be + al, and annihilates X^a when t < be.
     That weight is kept as an integer Laurent polynomial q^lo cs(q), its
     falling part read from _falling_weight, and applied to the coefficient
     in one step, a shift of its exponent when cs is +-1.  A weight of
@@ -217,14 +218,7 @@ def action_rule(v, elem):
     """
     v.check_variant(elem.variant)
     one = scalars.ONE
-    parts = []
-    for mono, mc in elem.terms.items():
-        support = tuple(
-            (p, v.kappa(p + 1), al, be, ga)
-            for p, (al, be, ga) in enumerate(mono)
-            if al or be or ga
-        )
-        parts.append((mc, support))
+    parts = [(mc, weyl._mono_support(v.kind, mono)) for mono, mc in elem.terms.items()]
 
     def rule(terms):
         out = {}
@@ -233,7 +227,7 @@ def action_rule(v, elem):
                 b = list(a)
                 lo = 0
                 cs = P_ONE
-                for p, k, al, be, ga in support:
+                for p, k, (al, be, ga) in support:
                     t = a[p]
                     if t < be:
                         break
@@ -275,9 +269,9 @@ def _tcal_point(v, i, e, kind, a):
     p = i - 1
     aa, bb = a[p], a[p + 1]
     newa = a[:p] + (bb, aa) + a[p + 2 :]
-    if kind == "prime":
-        return (-1 if bb % 2 else 1), e * bb * (aa + 1), newa
-    return (-1 if aa % 2 else 1), e * aa * (bb + 1), newa
+    if kind != "prime":  # doubleprime is prime with the two entries swapped
+        aa, bb = bb, aa
+    return (-1 if bb % 2 else 1), e * bb * (aa + 1), newa
 
 
 @functools.lru_cache(maxsize=1024)

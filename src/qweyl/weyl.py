@@ -285,6 +285,9 @@ class WeylElement(Terms):
 
     _label = staticmethod(_mono_str)
 
+    def _join(self, t1, t2):
+        return _mul_terms(self.variant, t1, t2)
+
     @staticmethod
     def unit(v, coeff=scalars.ONE):
         return WeylElement(v).constant(coeff)
@@ -311,13 +314,7 @@ class WeylElement(Terms):
         return Terms.scale(self, s)
 
     def __mul__(self, other):
-        if isinstance(other, (int, scalars.QScalar)):
-            return self.scale(other)
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        v = self.variant
-        v.check_variant(other.variant)
-        return WeylElement(v, _mul_terms(v, self.terms, other.terms))
+        return Terms.__mul__(self, other)
 
     def __rmul__(self, other):
         return Terms.__rmul__(self, other)
@@ -405,9 +402,10 @@ class EndoSpec:
     images; coeff_twist "bar" sends every coefficient through q -> q^-1.
     The word walk and the term collection work on term dicts: a word's image
     starts from its first letter image's terms, scaled by the coefficient,
-    and multiplies in each later letter image's terms through _mul, the
-    image type's product rule.  A subclass with other images overrides
-    _unit and _mul (iqg.ISubst maps into free expressions).
+    and multiplies in each later letter image's terms through that image's
+    _join, its type's product rule; the empty word maps to the constant of
+    _empty(), an empty element of the images' type.  iqg.ISubst maps into
+    free expressions.
     """
 
     __slots__ = ("variant", "images", "antimultiplicative", "bar_twist", "label")
@@ -425,20 +423,15 @@ class EndoSpec:
             raise ValueError("no image for letter %s%d" % letter)
         return img
 
-    def _unit(self, coeff):
-        """The terms of the image of the empty word with coefficient coeff."""
-        return WeylElement.unit(self.variant, coeff).terms
-
-    def _mul(self, terms1, terms2):
-        """The terms of the product of two images, given their terms."""
-        return _mul_terms(self.variant, terms1, terms2)
+    def _empty(self):
+        return WeylElement(self.variant)
 
     def _word_image(self, word, coeff):
         """The terms of the image of coeff * word; may be a letter image's own."""
         if self.bar_twist:
             coeff = coeff.bar()
         if not word:
-            return self._unit(coeff)
+            return self._empty().constant(coeff).terms
         images = self.images
         # start from the first image: a unit left factor costs a product per word
         seq = iter(reversed(word) if self.antimultiplicative else word)
@@ -451,12 +444,12 @@ class EndoSpec:
         if coeff is not one:
             # as Terms.scale: a unit coefficient takes coeff
             terms = {k: coeff if c is one else c * coeff for k, c in terms.items()}
-        mul = self._mul
+        join = img._join
         for letter in seq:
             img = images.get(letter)
             if img is None:
                 self.image(letter)
-            terms = mul(terms, img.terms)
+            terms = join(terms, img.terms)
         return terms
 
     def _collect(self, pairs):

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from qweyl import scalars
+from qweyl import iqg, operators, scalars
 from qweyl.expressions import FreeExpr, acc
 from qweyl.polymod import PolyElement, act
 from qweyl.satake import Variant
@@ -176,3 +176,57 @@ def test_traced_term_operators_are_bound_in_their_own_class():
         codes[attr] = fn.__code__
     assert {attr.split(".")[0] for attr in codes} == set(classes)
     assert len(set(codes.values())) == len(codes)
+
+
+def test_products_of_two_variants_raise():
+    # free expressions have no variant: any two of them multiply
+    assert FreeExpr.letter("B", 1) * FreeExpr.letter("B", 2) == FreeExpr.word(
+        (("B", 1), ("B", 2))
+    )
+    for x, y in zip(samples(J2)[1:], samples(I2)[1:]):
+        with pytest.raises(ValueError, match="variant mismatch"):
+            x * y
+        with pytest.raises(ValueError, match="variant mismatch"):
+            y * x
+
+
+def test_products_of_two_term_types_raise_type_error():
+    xs = samples(J2)
+    for x in xs:
+        for y in xs:
+            if type(x) is not type(y):
+                with pytest.raises(TypeError):
+                    x * y
+
+
+def test_a_scalar_factor_on_either_side_scales():
+    for x in samples(J2):
+        for c in (3, qpow(2) - scalars.from_frac(1, 3)):
+            assert c * x == x * c == x.scale(c)
+        assert (0 * x).is_zero and (x * scalars.ZERO).is_zero
+
+
+def test_substitutions_send_a_scalar_to_that_scalar_in_their_images_type():
+    # the empty word's image is the constant of the images' algebra, with
+    # its coefficient barred under a bar-twisted substitution
+    c = qpow(2) - scalars.from_frac(1, 3)
+    for v in (J2, I2):
+        weyl_scalar = WeylElement.unit(v).scale(c)
+        free_scalar = FreeExpr.from_scalar(c)
+        subs = [
+            (operators.braid_op(v, 1, 1, "prime"), weyl_scalar, False),
+            (operators.braid_op(v, 1, -1, "doubleprime"), weyl_scalar, False),
+            (operators.omega_op(v), weyl_scalar, True),
+            (operators.psi_op(v), weyl_scalar, False),
+            (iqg.phi_spec(v), free_scalar, False),
+            (iqg.tau_subst(v, 1, 1, "prime"), free_scalar, False),
+            (iqg.omega_subst(v), free_scalar, True),
+            (iqg.psi_subst(v), free_scalar, False),
+        ]
+        for spec, x, barred in subs:
+            image_type = type(next(iter(spec.images.values())))
+            for y in (x, x.scale(0)):
+                got = spec.apply(y) if isinstance(y, WeylElement) else spec.apply_free(y)
+                assert type(got) is image_type, spec.label
+                expect = y.scalar_value()
+                assert got == (expect.bar() if barred else expect), spec.label
